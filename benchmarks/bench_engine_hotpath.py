@@ -8,13 +8,27 @@ before it dilutes the whole-GPU numbers in ``bench_sim_kernels.py``.
 The official tracked numbers live in ``BENCH_engine.json`` (see
 ``scripts/bench_report.py`` and ``docs/performance.md``); this module
 is the always-on pytest-benchmark view of the same path.
+
+That path is the Python reference engine, so the whole-run cases pin it;
+closed-system runs otherwise execute in the native kernel
+(``repro.sim.native``), which ``perfbench/`` measures.
 """
 
 import random
 
+import pytest
+
 from repro.config import medium_config
+from repro.sim import engine
 from repro.sim.engine import EventQueue, Simulator
 from repro.workloads.table4 import app_by_abbr
+
+
+@pytest.fixture(autouse=True)
+def _python_engine():
+    previous = engine._set_native(False)
+    yield
+    engine._set_native(previous)
 
 
 class _Tick:

@@ -88,11 +88,6 @@ def _build(case: str, cycles: int):
     return sim, {"warmup": cycles // 10, "initial_tlp": initial}
 
 
-def _events_processed(sim: Simulator) -> int:
-    """Events executed so far: total scheduled minus still queued."""
-    return sim.events._seq - len(sim.events)
-
-
 def measure_case(case: str, cycles: int, repeat: int) -> dict:
     """Best-of-``repeat`` wall time for one case at ``cycles`` cycles."""
     best = None
@@ -104,7 +99,7 @@ def measure_case(case: str, cycles: int, repeat: int) -> dict:
         wall = time.perf_counter() - t0
         if best is None or wall < best:
             best = wall
-            events = _events_processed(sim)
+            events = sim.events_processed
     return {
         "cycles": cycles,
         "events": events,

@@ -46,6 +46,13 @@ Hot-path architecture (see ``docs/performance.md``):
   event.  Folds A/C/D are exact up to same-instant tie order; the
   all-hit fold shifts reservation attribution within one hit latency —
   the per-fold equivalence argument lives in ``docs/performance.md``.
+
+Backends: a closed-system run (no ``arrivals``, every warp stream a
+seeded :class:`~repro.workloads.synthetic.WarpAddressStream`, no probe
+attached) executes in the native C kernel of :mod:`repro.sim.native`
+when it loaded; everything else — and every run while the kernel is
+unavailable — uses the Python engine in this module, which is the
+readable reference both backends must match bit for bit.
 """
 
 from __future__ import annotations
@@ -63,6 +70,8 @@ from repro.sim.cache import MSHRTable, SetAssocCache
 from repro.sim.core import Core, Warp
 from repro.sim.dram import DRAMChannel, DRAMRequest
 from repro.sim.interconnect import Crossbar
+from repro.sim.native import NativeEngine
+from repro.sim.native import build as build_native
 from repro.sim.stats import StatsCollector, WindowSample
 from repro.sim.tenancy import Tenancy, TenancyEvent, split_cores
 from repro.units import (
@@ -192,6 +201,10 @@ _STAGE_NAMES = (
 #: dispatch (the same discipline as NullTracer / NullPublisher).
 _ENGINE_PROFILING = False
 
+#: Use the native kernel for runs it can execute.  Tests switch it off
+#: (through _set_native) to reach the Python reference engine.
+_NATIVE = True
+
 
 def set_engine_profiling(on: bool) -> bool:
     """Enable/disable engine self-profiling; returns the previous state.
@@ -207,6 +220,17 @@ def set_engine_profiling(on: bool) -> bool:
     global _ENGINE_PROFILING
     previous = _ENGINE_PROFILING
     _ENGINE_PROFILING = bool(on)
+    return previous
+
+
+def _set_native(on: bool) -> bool:
+    """Allow/forbid the native kernel for later runs; returns the
+    previous state.  Private: results are identical either way, so only
+    tests that compare the backends or inspect the Python engine's
+    internals have a reason to touch it."""
+    global _NATIVE
+    previous = _NATIVE
+    _NATIVE = bool(on)
     return previous
 
 
@@ -307,14 +331,15 @@ class EventQueue:
             bucket = wheel[cursor & mask]
             if bucket:
                 self._cursor = cursor
-                popped = 0
                 while bucket:
                     entry = heappop(bucket)
                     time, _seq, obj = entry
                     if time > t_end:
                         heappush(bucket, entry)
                         break
-                    popped += 1
+                    # Per pop, not per bucket: Python events dispatched
+                    # mid-drain (controller windows) read len(self).
+                    self._size -= 1
                     self.now = time
                     cls = obj.__class__
                     if cls is MemTxn:
@@ -326,9 +351,6 @@ class EventQueue:
                         obj.callback(obj, time)
                     else:
                         obj(time)
-                # _size is maintained as a batch: nothing reads it
-                # while a bucket drains (push never consults it).
-                self._size -= popped
                 if bucket:
                     break  # the rest of this bucket is beyond t_end
             if cursor >= end_slot:
@@ -395,7 +417,8 @@ class Simulator:
         "_l1_hit_latency", "_l2_hit_latency", "_dram_cb", "_dram_drain_cb",
         "_busy_at_measurement", "_txn_pool", "_req_pool", "_interleave",
         "_n_channels", "_row_bytes", "_banks_per_channel", "_prof",
-        "_prof_hw", "tenancy", "_arrivals", "_detached_apps",
+        "_prof_hw", "tenancy", "_arrivals", "_detached_apps", "_kernel",
+        "_probed", "backend", "_native_events",
     )
 
     def __init__(
@@ -535,6 +558,14 @@ class Simulator:
             [0] * len(_STAGE_NAMES) if _ENGINE_PROFILING else None
         )
         self._prof_hw = [0, 0, 0]
+        #: the native kernel while a native run is in progress
+        self._kernel: NativeEngine | None = None
+        #: set by repro.sim.probes.attach; probed runs stay in Python
+        self._probed = False
+        #: "native" or "python": the engine the last run() used
+        self.backend = "python"
+        #: events a native run executed (the kernel is gone afterwards)
+        self._native_events = 0
 
         # Populate warp contexts per core (see _populate_core).
         for app_id in range(len(self.apps)):
@@ -547,6 +578,14 @@ class Simulator:
         self.tenancy = Tenancy(self)
         self._arrivals: tuple[TenancyEvent, ...] = tuple(arrivals or ())
         self._detached_apps: set[int] = set()
+
+    @property
+    def events_processed(self) -> int:
+        """Events executed so far (MemTxn dispatches, DRAM returns and
+        decisions, Python-side events), the same count on both engines."""
+        if self.backend == "native":
+            return self._native_events
+        return self.events._seq - len(self.events)
 
     @property
     def live_apps(self) -> list[int]:
@@ -596,6 +635,13 @@ class Simulator:
         now = self.events.now
         self.current_tlp[app_id] = tlp
         self.tlp_timeline.append((now, app_id, tlp))
+        kernel = self._kernel
+        if kernel is not None:
+            # Warp state lives in the kernel; mirror only the limit.
+            for core in self.cores_of_app[app_id]:
+                core.tlp = tlp
+            kernel.set_tlp(app_id, tlp, now)
+            return
         for core in self.cores_of_app[app_id]:
             for warp in core.set_tlp(tlp):
                 self._start_warp(core, warp, now)
@@ -610,16 +656,20 @@ class Simulator:
                 l1.bypass_apps.add(app_id)
             else:
                 l1.bypass_apps.discard(app_id)
+            if self._kernel is not None:
+                self._kernel.set_bypass(1, core.core_id, app_id, bypass)
 
     def set_l2_bypass(self, app_id: int, bypass: bool) -> None:
         """Enable/disable L2 fill bypassing for an application."""
         if app_id in self._detached_apps:
             return
-        for l2 in self.l2s:
+        for channel, l2 in enumerate(self.l2s):
             if bypass:
                 l2.bypass_apps.add(app_id)
             else:
                 l2.bypass_apps.discard(app_id)
+            if self._kernel is not None:
+                self._kernel.set_bypass(2, channel, app_id, bypass)
 
     # ------------------------------------------------------------------
     # Transaction dispatch (the hot path)
@@ -1318,26 +1368,12 @@ class Simulator:
             )
         self._ran = True
 
-        initial_tlp = initial_tlp or {}
-        for app_id in range(len(self.apps)):
-            self.set_tlp(app_id, initial_tlp.get(app_id, self.config.max_tlp))
-
-        self.events.push(float(warmup), self._begin_measurement)
-
-        for ev in self._arrivals:
-            if ev.cycle >= max_cycles:
-                continue
-            self.events.push(float(ev.cycle), partial(self._tenancy_event, ev))
-
-        if self.controller is not None:
-            self.controller.start(self, 0.0)
-            self._schedule_controller_window(self.controller.sample_period)
-
-        self.events.run_until(float(max_cycles))
-
-        if self._prof is not None:
-            self._sample_profiling()
-            self._publish_profiling()
+        kernel = self._native_kernel()
+        if kernel is None:
+            self._simulate(max_cycles, warmup, initial_tlp or {})
+            self._finish_profiling()
+        else:
+            self._simulate_native(kernel, max_cycles, warmup, initial_tlp or {})
 
         samples = self.collector.measurement(float(max_cycles))
         measured = float(max_cycles) - warmup
@@ -1354,6 +1390,75 @@ class Simulator:
             dram_utilization=busy / (measured * len(self.channels)),
             roster=list(self.tenancy.timeline),
         )
+
+    def _native_kernel(self) -> NativeEngine | None:
+        """The kernel for this run, or None to run the Python engine.
+
+        Native runs need the kernel switch on, a closed system, no probe,
+        and nothing queued before ``run`` (a probe's samplers or an early
+        ``set_tlp`` would sit in the Python queue); :func:`build_native`
+        then declines streams and caches outside the kernel's model.
+        """
+        if not _NATIVE or self._arrivals or self._probed or len(self.events):
+            return None
+        return build_native(self)
+
+    def _simulate(
+        self,
+        max_cycles: WholeCycles,
+        warmup: WholeCycles,
+        initial_tlp: dict[int, int],
+    ) -> None:
+        """Seed the run's events and drive the queue to ``max_cycles``."""
+        for app_id in range(len(self.apps)):
+            self.set_tlp(app_id, initial_tlp.get(app_id, self.config.max_tlp))
+
+        self.events.push(float(warmup), self._begin_measurement)
+
+        for ev in self._arrivals:
+            if ev.cycle >= max_cycles:
+                continue
+            self.events.push(float(ev.cycle), partial(self._tenancy_event, ev))
+
+        if self.controller is not None:
+            self.controller.start(self, 0.0)
+            self._schedule_controller_window(self.controller.sample_period)
+
+        self.events.run_until(float(max_cycles))
+
+    def _simulate_native(
+        self,
+        kernel: NativeEngine,
+        max_cycles: WholeCycles,
+        warmup: WholeCycles,
+        initial_tlp: dict[int, int],
+    ) -> None:
+        """:meth:`_simulate` with the kernel standing in for the queue."""
+        reference_queue = self.events
+        # NativeEngine offers the EventQueue surface that Python-side code
+        # uses (now, push, len, run_until); the inlined wheel pushes that
+        # reach past it only run on the Python engine.
+        self.events = kernel  # type: ignore[assignment]
+        self._kernel = kernel
+        self.backend = "native"
+        try:
+            self._simulate(max_cycles, warmup, initial_tlp)
+            kernel.sync()
+            if self._prof is not None:
+                self._prof[:] = kernel.dispatch_counts()
+            self._finish_profiling()
+            kernel.read_back(self)
+            self._native_events = kernel.events_run()
+        finally:
+            kernel.close()
+            self._kernel = None
+            reference_queue.now = float(max_cycles)
+            self.events = reference_queue
+
+    def _finish_profiling(self) -> None:
+        if self._prof is not None:
+            self._sample_profiling()
+            self._publish_profiling()
 
     def _tenancy_event(self, ev: TenancyEvent, now: Cycles) -> None:
         """Apply one scheduled roster change (the arrival-event handler)."""
@@ -1380,10 +1485,15 @@ class Simulator:
         event, so profiling adds nothing to the dispatch loop beyond the
         per-stage increment.
         """
+        if self._kernel is not None:
+            occupancy = self._kernel.occupancy()
+        else:
+            occupancy = (
+                len(self.events), len(self._txn_pool), len(self._req_pool)
+            )
         hw = self._prof_hw
-        hw[0] = max(hw[0], len(self.events))
-        hw[1] = max(hw[1], len(self._txn_pool))
-        hw[2] = max(hw[2], len(self._req_pool))
+        for i, value in enumerate(occupancy):
+            hw[i] = max(hw[i], value)
 
     def _publish_profiling(self) -> None:
         """Fold self-profiling aggregates into the ambient registry.

@@ -195,8 +195,10 @@ def attach(
 
     The latency probe wraps the collector's request hook; the periodic
     probes self-reschedule on the event queue.  None of them changes
-    simulated timing.
+    simulated timing.  A probed simulator runs on the Python engine,
+    whose components the probes read.
     """
+    sim._probed = True
     if latency is not None:
         original = sim.collector.note_mem_request
 

@@ -116,13 +116,14 @@ class AppProfile:
         core_stream: "CoreStream",
     ) -> "WarpAddressStream":
         """Build this profile's deterministic stream for one warp."""
-        rng = random.Random(stream_seed(seed, app_id, core_id, warp_id))
+        warp_seed = stream_seed(seed, app_id, core_id, warp_id)
         return WarpAddressStream(
             profile=self,
             line_bytes=addr_map.line_bytes,
             shared_base=AddressMap.app_base(app_id),
             core_stream=core_stream,
-            rng=rng,
+            rng=random.Random(warp_seed),
+            seed=warp_seed,
         )
 
 
@@ -160,14 +161,15 @@ class WarpAddressStream:
     profile's (frozen) parameters and the RNG's bound methods are cached
     at construction: ``next_request`` runs once per warp-loop iteration,
     on the engine's hot path.  The sequence of RNG draws is part of the
-    deterministic stream definition and must not change.
+    deterministic stream definition and must not change: the native
+    kernel (:mod:`repro.sim.native`) regenerates it in C from ``seed``.
     """
 
     __slots__ = (
         "profile", "line_bytes", "shared_base", "core_stream", "rng",
         "_ring", "_ring_pos", "_random", "_randrange", "_inst_gap",
         "_gap_jitter", "_gap_lo", "_p_reuse", "_p_seq", "_shared_frac",
-        "_shared_lines", "_stream_lines", "_divergent", "_coalesce",
+        "_shared_lines", "_stream_lines", "_divergent", "_coalesce", "seed",
     )
 
     def __init__(
@@ -177,12 +179,15 @@ class WarpAddressStream:
         shared_base: int,
         core_stream: CoreStream,
         rng: random.Random,
+        seed: int | None = None,
     ) -> None:
         self.profile = profile
         self.line_bytes = line_bytes
         self.shared_base = shared_base
         self.core_stream = core_stream
         self.rng = rng
+        #: the integer ``rng`` was seeded with (None if unknown)
+        self.seed = seed
         self._random = rng.random
         self._randrange = rng.randrange
         self._inst_gap = profile.inst_gap
@@ -204,6 +209,24 @@ class WarpAddressStream:
             for _ in range(profile.footprint_lines)
         ]
         self._ring_pos = 0
+
+    def native_spec(self) -> tuple[int, tuple, CoreStream] | None:
+        """``(seed, parameter row, core stream)`` for the native kernel.
+
+        None unless this is an unsubclassed stream built with its seed
+        (as :meth:`AppProfile.make_stream` does).  The kernel replays
+        the stream from the seed, so it must be called before the first
+        draw, i.e. before the simulation starts.
+        """
+        if type(self) is not WarpAddressStream or self.seed is None:
+            return None
+        row = (
+            self._inst_gap, self._gap_jitter, self._gap_lo, self._p_reuse,
+            self._p_seq, self._shared_frac, self._shared_lines,
+            self._stream_lines, int(bool(self._divergent)), self._coalesce,
+            self.line_bytes, self.shared_base, len(self._ring),
+        )
+        return self.seed, row, self.core_stream
 
     # --- internals -----------------------------------------------------
 

@@ -11,9 +11,23 @@ import pytest
 
 from repro.config import GPUConfig, medium_config, small_config
 from repro.core.runner import RunLengths
+from repro.sim import engine
 from repro.sim.address import AddressMap
 from repro.sim.engine import Simulator
 from repro.workloads.table4 import app_by_abbr
+
+
+@pytest.fixture
+def python_engine():
+    """Run simulations on the Python reference engine.
+
+    For tests that inspect component internals (cache contents, queues,
+    warp state) during or after a run: a native run keeps that state in
+    the C kernel and copies back only the counters.
+    """
+    previous = engine._set_native(False)
+    yield
+    engine._set_native(previous)
 
 
 @pytest.fixture

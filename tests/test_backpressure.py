@@ -15,6 +15,10 @@ from repro.sim.dram import DRAMChannel, DRAMRequest
 from repro.sim.engine import EventQueue, MemTxn, Simulator
 from repro.workloads.table4 import app_by_abbr
 
+# These tests inspect the engine's components during or after a run,
+# so they pin the Python reference engine.
+pytestmark = pytest.mark.usefixtures("python_engine")
+
 
 def tiny_mshr_config(entries: int = 2):
     cfg = small_config()

@@ -9,6 +9,10 @@ from repro.workloads.table4 import app_by_abbr
 
 from tests.conftest import run_small_pair
 
+# These tests inspect the engine's components during or after a run,
+# so they pin the Python reference engine.
+pytestmark = pytest.mark.usefixtures("python_engine")
+
 
 class TestEventQueue:
     def test_runs_in_time_order(self):
@@ -48,6 +52,25 @@ class TestEventQueue:
         q.push(1.0, lambda t: q.push(t + 1, lambda u: seen.append(u)))
         q.run_until(5.0)
         assert seen == [2.0]
+
+    def test_len_is_exact_mid_drain(self, small_cfg):
+        """len() counts exactly the queued events even while a bucket is
+        draining — controller windows sample it for the wheel high-water
+        mark — i.e. it equals the bucket plus overflow lengths."""
+        sim = Simulator(small_cfg, [app_by_abbr("BLK"), app_by_abbr("TRD")], seed=7)
+        q = sim.events
+        checks = []
+
+        def sample(now):
+            true_len = sum(len(b) for b in q._wheel) + len(q._overflow)
+            checks.append((len(q), true_len))
+            q.push(now + 61, sample)
+
+        q.push(13.0, sample)
+        sim.run(8000, warmup=1000, initial_tlp={0: 24, 1: 24})
+        assert len(checks) > 100
+        assert all(reported == true for reported, true in checks)
+        assert len(q) == sum(len(b) for b in q._wheel) + len(q._overflow)
 
     # -- wheel-horizon boundary ------------------------------------------
     #

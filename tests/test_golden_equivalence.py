@@ -52,6 +52,18 @@ def test_engine_reproduces_golden_fixture(case):
     assert fresh == recorded
 
 
+@pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
+def test_python_engine_reproduces_golden_fixture(case, python_engine):
+    """The same fixtures on the Python reference engine.
+
+    The test above runs whichever backend the run selects — the native
+    kernel wherever it loaded — so together the two hold both backends
+    to the unchanged fixtures.
+    """
+    recorded = json.loads(fixture_path(case).read_text())["result"]
+    assert result_payload(run_case(case)) == recorded
+
+
 def test_fixture_matrix_covers_every_dispatch_path():
     """The matrix keeps controller, backpressure, quota, split and
     multi-geometry coverage; shrinking it silently would hollow out the

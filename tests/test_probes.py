@@ -12,6 +12,10 @@ from repro.sim.probes import (
 )
 from repro.workloads.table4 import app_by_abbr
 
+# These tests inspect the engine's components during or after a run,
+# so they pin the Python reference engine.
+pytestmark = pytest.mark.usefixtures("python_engine")
+
 
 class TestLatencyHistogram:
     def test_percentiles_on_known_distribution(self):
