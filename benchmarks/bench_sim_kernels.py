@@ -1,7 +1,7 @@
 """Micro-benchmarks of the simulator substrate itself.
 
-These time the hot paths (cache access, DRAM scheduling, whole-GPU
-simulation throughput) so performance regressions in the substrate are
+These time the hot paths (DRAM scheduling, whole-GPU simulation
+throughput) so performance regressions in the substrate are
 caught alongside the figure reproductions.
 """
 
@@ -9,24 +9,9 @@ import random
 
 from repro.config import medium_config, small_config
 from repro.sim.address import AddressMap
-from repro.sim.cache import SetAssocCache
 from repro.sim.dram import DRAMChannel, DRAMRequest
 from repro.sim.engine import EventQueue, Simulator
 from repro.workloads.table4 import app_by_abbr
-
-
-def test_cache_access_throughput(benchmark):
-    cache = SetAssocCache(n_sets=128, assoc=8, line_bytes=128)
-    rng = random.Random(7)
-    addrs = [rng.randrange(1 << 20) * 128 for _ in range(4096)]
-
-    def churn():
-        for addr in addrs:
-            if not cache.access(addr, 0):
-                cache.fill(addr, 0)
-
-    benchmark(churn)
-    assert cache.stats.accesses > 0
 
 
 def test_dram_channel_throughput(benchmark):

@@ -154,7 +154,9 @@ class ResultStore:
 
     Loads and saves count into the ambient metrics registry
     (``cache.<kind>.hit`` / ``.miss`` / ``.save``) so a traced run can
-    report how much of it was served from cache.
+    report how much of it was served from cache.  An entry that does not
+    decode (a truncated file) counts as ``.corrupt`` and as a miss, so
+    the caller recomputes and overwrites it.
     """
 
     def __init__(self, root: Path | str = DEFAULT_RESULTS_DIR) -> None:
@@ -165,13 +167,18 @@ class ResultStore:
         return self.root / f"{kind}-{key}.json"
 
     def load(self, kind: str, key: str) -> dict | None:
-        path = self._path(kind, key)
-        if not path.exists():
+        try:
+            with self._path(kind, key).open() as fh:
+                data = json.load(fh)
+        except FileNotFoundError:
+            get_metrics().inc(f"cache.{kind}.miss")
+            return None
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
+            get_metrics().inc(f"cache.{kind}.corrupt")
             get_metrics().inc(f"cache.{kind}.miss")
             return None
         get_metrics().inc(f"cache.{kind}.hit")
-        with path.open() as fh:
-            return json.load(fh)
+        return data
 
     def save(self, kind: str, key: str, data: dict) -> None:
         get_metrics().inc(f"cache.{kind}.save")

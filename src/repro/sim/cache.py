@@ -1,9 +1,11 @@
-"""Set-associative caches with LRU replacement, per-application statistics,
-MSHR-style miss merging, and fill bypassing.
+"""Set-associative caches with LRU replacement, MSHR-style miss merging,
+and fill bypassing.
 
 Both the per-core L1 data caches and the per-partition L2 slices are
-instances of :class:`SetAssocCache`.  The cache itself is a pure state
-machine (no notion of time); the simulator engine supplies timing.
+instances of :class:`SetAssocCache`.  These classes hold state plus
+cold-path methods; the lookup and MSHR rules live in
+``Simulator._dispatch`` and its native twin, the per-app counts in
+:class:`~repro.sim.stats.AppStats`.
 
 Bypassing (used by the Mod+Bypass baseline, §VI) is a per-application
 flag: a bypassed application's misses are still counted, but fills are
@@ -12,45 +14,9 @@ not installed, so it stops displacing the co-runner's lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from repro.units import Bytes, BytesPerLine, Count
 
-from repro.units import Bytes, BytesPerLine, Count, Fraction
-
-__all__ = ["CacheStats", "SetAssocCache", "MSHRTable"]
-
-
-@dataclass(slots=True)
-class CacheStats:
-    """Access/miss counters, totals and per-application."""
-
-    accesses: Count = 0
-    misses: Count = 0
-    accesses_by_app: dict[int, int] = field(default_factory=dict)
-    misses_by_app: dict[int, int] = field(default_factory=dict)
-
-    def record(self, app_id: int, hit: bool) -> None:
-        self.accesses += 1
-        self.accesses_by_app[app_id] = self.accesses_by_app.get(app_id, 0) + 1
-        if not hit:
-            self.misses += 1
-            self.misses_by_app[app_id] = self.misses_by_app.get(app_id, 0) + 1
-
-    def miss_rate(self, app_id: int | None = None) -> Fraction:
-        """Miss rate overall, or for one application.
-
-        Returns 1.0 when there were no accesses: a cache that was never
-        used amplifies nothing, which is the convention the effective-
-        bandwidth metric needs (EB = BW / CMR with CMR = 1).
-        """
-        if app_id is None:
-            acc, mis = self.accesses, self.misses
-        else:
-            acc = self.accesses_by_app.get(app_id, 0)
-            mis = self.misses_by_app.get(app_id, 0)
-        return (mis / acc) if acc else 1.0
-
-    def snapshot(self) -> tuple[int, int]:
-        return self.accesses, self.misses
+__all__ = ["SetAssocCache", "MSHRTable"]
 
 
 class SetAssocCache:
@@ -62,8 +28,7 @@ class SetAssocCache:
     """
 
     __slots__ = (
-        "n_sets", "assoc", "line_bytes", "stats", "_sets", "bypass_apps",
-        "way_quota",
+        "n_sets", "assoc", "line_bytes", "_sets", "bypass_apps", "way_quota",
     )
 
     def __init__(self, n_sets: int, assoc: int, line_bytes: BytesPerLine) -> None:
@@ -72,7 +37,6 @@ class SetAssocCache:
         self.n_sets = n_sets
         self.assoc = assoc
         self.line_bytes: BytesPerLine = line_bytes
-        self.stats = CacheStats()
         self._sets: list[dict[int, int]] = [{} for _ in range(n_sets)]
         #: applications whose fills are currently bypassed
         self.bypass_apps: set[int] = set()
@@ -80,37 +44,6 @@ class SetAssocCache:
         #: sensitivity study, §VI-D): an app holding its quota of ways in
         #: a set evicts its own LRU line instead of the global LRU.
         self.way_quota: dict[int, int] = {}
-
-    def set_index(self, line_addr: Bytes) -> int:
-        return (line_addr // self.line_bytes) % self.n_sets
-
-    def probe(self, line_addr: Bytes) -> bool:
-        """Check residency without touching LRU state or statistics."""
-        return line_addr in self._sets[self.set_index(line_addr)]
-
-    def access(self, line_addr: Bytes, app_id: int) -> bool:
-        """Look up ``line_addr``; returns True on hit.
-
-        A hit updates LRU recency.  A miss records statistics only; the
-        caller is responsible for issuing the fill once the lower level
-        responds (see :meth:`fill`).
-        """
-        line_set = self._sets[(line_addr // self.line_bytes) % self.n_sets]
-        hit = line_addr in line_set
-        if hit:
-            # Re-insert to mark most-recently-used.
-            line_set[line_addr] = line_set.pop(line_addr)
-        # Statistics recording is inlined (this runs once per simulated
-        # cache access; see docs/performance.md).
-        stats = self.stats
-        stats.accesses += 1
-        by_app = stats.accesses_by_app
-        by_app[app_id] = by_app.get(app_id, 0) + 1
-        if not hit:
-            stats.misses += 1
-            by_app = stats.misses_by_app
-            by_app[app_id] = by_app.get(app_id, 0) + 1
-        return hit
 
     def fill(self, line_addr: Bytes, app_id: int) -> int | None:
         """Install a line, evicting the LRU line of the set if needed.
@@ -139,16 +72,6 @@ class SetAssocCache:
         line_set[line_addr] = app_id
         return victim
 
-    def invalidate_app(self, app_id: int) -> Count:
-        """Drop every line owned by ``app_id``; returns lines dropped."""
-        dropped = 0
-        for line_set in self._sets:
-            doomed = [a for a, owner in line_set.items() if owner == app_id]
-            for addr in doomed:
-                del line_set[addr]
-            dropped += len(doomed)
-        return dropped
-
     def occupancy_by_app(self) -> dict[int, int]:
         """Resident line counts per application (for analysis/tests)."""
         counts: dict[int, int] = {}
@@ -165,9 +88,8 @@ class SetAssocCache:
 class MSHRTable:
     """Miss-status holding registers: merge requests to in-flight lines.
 
-    Keyed by line address; each entry holds the opaque waiter tokens the
-    engine will wake when the fill returns.  A full table back-pressures
-    by rejecting allocation (the engine retries after a delay).
+    Keyed by line address; each entry holds the waiters the engine wakes
+    when the fill returns.  The engine parks a miss that finds it full.
     """
 
     __slots__ = ("n_entries", "_pending", "merges", "allocation_failures")
@@ -177,31 +99,3 @@ class MSHRTable:
         self._pending: dict[int, list[object]] = {}
         self.merges: Count = 0
         self.allocation_failures: Count = 0
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def lookup(self, line_addr: Bytes) -> bool:
-        return line_addr in self._pending
-
-    def allocate(self, line_addr: Bytes, waiter: object) -> str:
-        """Register ``waiter`` for ``line_addr``.
-
-        Returns ``"new"`` if a lower-level request must be sent,
-        ``"merged"`` if one is already in flight, or ``"full"`` if the
-        table has no free entry.
-        """
-        waiters = self._pending.get(line_addr)
-        if waiters is not None:
-            waiters.append(waiter)
-            self.merges += 1
-            return "merged"
-        if len(self._pending) >= self.n_entries:
-            self.allocation_failures += 1
-            return "full"
-        self._pending[line_addr] = [waiter]
-        return "new"
-
-    def release(self, line_addr: Bytes) -> list[object]:
-        """Fill arrived: free the entry and return all merged waiters."""
-        return self._pending.pop(line_addr, [])

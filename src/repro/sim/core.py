@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Protocol
 
 from repro.config import GPUConfig
-from repro.units import Cycles, Insts, InstsPerCycle
+from repro.units import Cycles, InstsPerCycle
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import MemTxn
@@ -81,11 +81,9 @@ class Warp:
 class IssueServer:
     """Shared instruction-issue bandwidth of one core.
 
-    ``request`` reserves ``n_inst`` instructions' worth of issue slots
-    and returns the cycle at which the requesting warp's compute phase
-    completes: never faster than the core-wide ``issue_width`` allows in
-    aggregate, and never faster than one instruction per cycle for the
-    individual warp.
+    ``Simulator._start_warp`` (and its native twin) reserves each
+    compute phase here: it completes no sooner than ``issue_width``
+    allows core-wide, nor than 1 IPC for the warp.
     """
 
     __slots__ = ("issue_width", "free_at")
@@ -95,15 +93,6 @@ class IssueServer:
             raise ValueError("issue_width must be positive")
         self.issue_width: InstsPerCycle = issue_width
         self.free_at: Cycles = 0.0
-
-    def request(self, now: Cycles, n_inst: Insts) -> Cycles:
-        start = now if now > self.free_at else self.free_at
-        self.free_at = start + n_inst / self.issue_width
-        finish = self.free_at
-        # 1 IPC per-warp ceiling: n_inst deliberately converts to cycles
-        # at the 1-inst-per-cycle retire limit.
-        min_finish = now + n_inst  # repro: noqa[R012]
-        return finish if finish > min_finish else min_finish
 
 
 class Core:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.config import GPUConfig
 from repro.sim.address import AddressMap
-from repro.units import Count, Cycles, Fraction, Lines
+from repro.units import Cycles
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import EventQueue
@@ -94,8 +94,7 @@ class DRAMChannel:
         "channel_id", "timings", "addr_map", "frfcfs_cap", "capacity",
         "_events", "_schedule_event", "on_dequeue", "_banks",
         "_group_col_free", "queue", "bus_free", "last_activate",
-        "_deciding", "_hit_streak", "row_hits", "row_misses",
-        "lines_transferred", "busy_cycles", "_decide_event",
+        "_deciding", "_hit_streak", "busy_cycles", "_decide_event",
         "_bank_group_of", "_t_ccd", "_t_cl", "_t_rp", "_t_rcd", "_t_ras",
         "_t_rrd", "_burst", "_lookahead",
     )
@@ -143,10 +142,7 @@ class DRAMChannel:
         self.last_activate: Cycles = -1e18
         self._deciding = False
         self._hit_streak = 0
-        # statistics
-        self.row_hits: Count = 0
-        self.row_misses: Count = 0
-        self.lines_transferred: Lines = 0
+        #: bus cycles carrying data (per-app line counts: AppStats)
         self.busy_cycles: Cycles = 0.0
 
     # --- public API ------------------------------------------------------
@@ -168,10 +164,6 @@ class DRAMChannel:
     @property
     def is_full(self) -> bool:
         return len(self.queue) >= self.capacity
-
-    def utilization(self, elapsed: Cycles) -> Fraction:
-        """Fraction of elapsed cycles the data bus carried data."""
-        return self.busy_cycles / elapsed if elapsed > 0 else 0.0
 
     # --- scheduling -------------------------------------------------------
 
@@ -233,7 +225,6 @@ class DRAMChannel:
         req.row_hit = row_hit
         if row_hit:
             self._hit_streak += 1
-            self.row_hits += 1
             col_issue = now
             if bank.free_at > col_issue:
                 col_issue = bank.free_at
@@ -242,7 +233,6 @@ class DRAMChannel:
                 col_issue = gcf
         else:
             self._hit_streak = 0
-            self.row_misses += 1
             act_start = now
             if bank.free_at > act_start:
                 act_start = bank.free_at
@@ -271,7 +261,6 @@ class DRAMChannel:
         data_end = data_start + self._burst
         self.bus_free = data_end
         bank.free_at = col_issue + t_ccd
-        self.lines_transferred += 1
         self.busy_cycles += self._burst
 
         # The request object is its own data-return event (see

@@ -413,7 +413,7 @@ class Simulator:
         "cores_of_app", "l2s", "l2_mshrs", "_l1_deferred", "_l2_deferred",
         "channels", "_dram_deferred", "collector", "tlp_timeline",
         "window_log", "current_tlp", "_ran", "_stats", "_push",
-        "_channel_of", "_bank_row_of", "_req_ports", "_resp_ports",
+        "_bank_row_of", "_req_ports", "_resp_ports",
         "_l1_hit_latency", "_l2_hit_latency", "_dram_cb", "_dram_drain_cb",
         "_busy_at_measurement", "_txn_pool", "_req_pool", "_interleave",
         "_n_channels", "_row_bytes", "_banks_per_channel", "_prof",
@@ -529,7 +529,6 @@ class Simulator:
         # windows and measurements observe every inlined increment.
         self._stats = [self.collector.apps[a] for a in range(len(apps))]
         self._push = self.events.push
-        self._channel_of = self.addr_map.channel_of
         self._bank_row_of = self.addr_map.bank_row_of
         # Address-map geometry for the inlined channel/bank arithmetic
         # (must mirror AddressMap.channel_of / bank_row_of exactly).
@@ -726,8 +725,8 @@ class Simulator:
                     n_hits = 0
                     n_misses = 0
                     for line in lines:
-                        # Inlined SetAssocCache.access: LRU lookup with
-                        # the statistics batched after the loop.
+                        # L1 lookup: a hit re-inserts the line as MRU;
+                        # the counts are batched after the loop.
                         line_set = l1_sets[(line // lb) % ns]
                         if line in line_set:
                             line_set[line] = line_set.pop(line)
@@ -793,15 +792,8 @@ class Simulator:
                             heappush(ev._wheel[slot & ev._mask], (t, seq, t2))
                         else:
                             ev.push(t, t2)
-                    cache_stats = l1.stats
-                    cache_stats.accesses += n
-                    by_app = cache_stats.accesses_by_app
-                    by_app[app_id] = by_app.get(app_id, 0) + n
                     stats.l1_accesses += n
                     if n_misses:
-                        cache_stats.misses += n_misses
-                        by_app = cache_stats.misses_by_app
-                        by_app[app_id] = by_app.get(app_id, 0) + n_misses
                         stats.l1_misses += n_misses
                     if n_hits:
                         if n_misses:
@@ -943,13 +935,9 @@ class Simulator:
             app_id = txn.app_id
             line = txn.line
             l2 = self.l2s[channel]
-            # Inlined SetAssocCache.access (lookup + statistics).
+            # L2 lookup (a hit re-inserts the line as MRU).
             line_set = l2._sets[(line // l2.line_bytes) % l2.n_sets]
             hit = line in line_set
-            cache_stats = l2.stats
-            cache_stats.accesses += 1
-            by_app = cache_stats.accesses_by_app
-            by_app[app_id] = by_app.get(app_id, 0) + 1
             stats = self._stats[app_id]
             stats.l2_accesses += 1
             if hit:
@@ -995,9 +983,6 @@ class Simulator:
                 else:
                     ev.push(t, txn)
                 return
-            cache_stats.misses += 1
-            by_app = cache_stats.misses_by_app
-            by_app[app_id] = by_app.get(app_id, 0) + 1
             stats.l2_misses += 1
             # Inlined _l2_miss + _to_dram fast paths (the methods remain
             # the readable form, used by the parked-retry stages).
@@ -1100,9 +1085,9 @@ class Simulator:
         txn = warp.compute_txn
         txn.n_inst = n_inst
         txn.lines = lines
-        # Inlined IssueServer.request (same float operations, in the
-        # same order): shared issue bandwidth plus the 1-IPC per-warp
-        # ceiling.
+        # Issue reservation: shared issue bandwidth plus the 1-IPC
+        # per-warp ceiling (the kernel twin repeats the same float
+        # operations in the same order).
         iss = core.issue
         free_at = iss.free_at
         start = now if now > free_at else free_at
@@ -1194,9 +1179,8 @@ class Simulator:
     def _l2_miss(self, txn: MemTxn, now: Cycles) -> None:
         """Allocate the L2 miss and send it to DRAM (access already counted).
 
-        The MSHR bookkeeping is the inline form of
-        :meth:`MSHRTable.allocate`; a merged transaction has served its
-        purpose and is recycled.
+        A merged transaction has served its purpose and is recycled; a
+        full MSHR table parks it as RETRY_L2 until a fill frees an entry.
         """
         channel = txn.channel
         mshr = self.l2_mshrs[channel]

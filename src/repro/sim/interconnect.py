@@ -12,18 +12,21 @@ Request packets are small (a line address); response packets carry a
 full 128-byte line and occupy the port for several cycles, which is what
 bounds the return bandwidth that effective bandwidth (EB) measures at
 the core side.
+
+The links hold state only; ``Simulator._dispatch`` and its native twin
+apply the send rule and update the per-port counters.
 """
 
 from __future__ import annotations
 
 from repro.config import GPUConfig
-from repro.units import BytesPerCycle, Count, Cycles, Fraction
+from repro.units import BytesPerCycle, Count, Cycles
 
 __all__ = ["Link", "Crossbar"]
 
 
 class Link:
-    """A rate-limited, fixed-latency FIFO link."""
+    """A rate-limited, fixed-latency FIFO link and its counters."""
 
     __slots__ = ("latency", "cycles_per_packet", "free_at", "packets",
                  "busy_cycles", "queue_cycles")
@@ -37,18 +40,6 @@ class Link:
         self.packets: Count = 0
         self.busy_cycles: Cycles = 0.0
         self.queue_cycles: Cycles = 0.0
-
-    def send(self, now: Cycles) -> Cycles:
-        """Inject a packet at ``now``; returns its delivery time."""
-        start = now if now > self.free_at else self.free_at
-        self.free_at = start + self.cycles_per_packet
-        self.packets += 1
-        self.busy_cycles += self.cycles_per_packet
-        self.queue_cycles += start - now
-        return start + self.cycles_per_packet + self.latency
-
-    def utilization(self, elapsed: Cycles) -> Fraction:
-        return self.busy_cycles / elapsed if elapsed > 0 else 0.0
 
 
 class Crossbar:
@@ -68,11 +59,3 @@ class Crossbar:
         self.response_ports = [
             Link(config.icnt_latency, resp_cycles) for _ in range(config.n_channels)
         ]
-
-    def send_request(self, channel: int, now: Cycles) -> Cycles:
-        """Core -> L2 slice; returns arrival time at the partition."""
-        return self.request_ports[channel].send(now)
-
-    def send_response(self, channel: int, now: Cycles) -> Cycles:
-        """L2 slice -> core; returns arrival time at the core."""
-        return self.response_ports[channel].send(now)

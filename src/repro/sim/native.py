@@ -84,7 +84,6 @@ _SIGNATURES: dict[str, tuple[Any, list[Any]]] = {
     "rk_occupancy": (None, [_P, _I64P]),
     "rk_prof": (None, [_P, _I64P]),
     "rk_read_stats": (None, [_P, _I64P, _F64P]),
-    "rk_read_cache": (None, [_P, c_int32, c_int32, _I64P]),
     "rk_read_mshr": (None, [_P, c_int32, c_int32, _I64P]),
     "rk_read_link": (None, [_P, c_int32, c_int32, _F64P]),
     "rk_read_warps": (None, [_P, _I64P]),
@@ -283,7 +282,7 @@ class NativeEngine:
         self._n_apps = n_apps
         self._stats = [sim.collector.apps[a] for a in range(n_apps)]
         self._channels = sim.channels
-        self._ints = (c_int64 * (9 * n_apps + 3 * n_channels))()
+        self._ints = (c_int64 * (9 * n_apps))()
         self._dbls = (c_double * (n_apps + n_channels))()
 
         ch0 = sim.channels[0]
@@ -424,7 +423,7 @@ class NativeEngine:
     # --- counters ----------------------------------------------------------
 
     def sync(self) -> None:
-        """Copy the kernel's per-app and per-channel counters to Python."""
+        """Copy the kernel's per-app counters and channel busy cycles."""
         ints, dbls = self._ints, self._dbls
         self._lib.rk_read_stats(self._k, ints, dbls)
         for a, s in enumerate(self._stats):
@@ -432,12 +431,8 @@ class NativeEngine:
              s.dram_lines, s.mem_requests, s.row_hits,
              s.row_misses) = ints[9 * a:9 * a + 9]
             s.mem_latency_sum = dbls[a]
-        base_i = 9 * self._n_apps
         base_d = self._n_apps
         for ch, chan in enumerate(self._channels):
-            chan.row_hits, chan.row_misses, chan.lines_transferred = (
-                ints[base_i + 3 * ch:base_i + 3 * ch + 3]
-            )
             chan.busy_cycles = dbls[base_d + ch]
 
     def events_run(self) -> int:
@@ -457,10 +452,10 @@ class NativeEngine:
         return list(out)
 
     def read_back(self, sim: "Simulator") -> None:
-        """Copy warp progress and the component counters (cache, MSHR,
+        """Copy warp progress and the component counters (MSHR,
         crossbar) to the Simulator's Python objects after the run.
         Cache contents and queue state stay in the kernel."""
-        lib, k, n_apps = self._lib, self._k, self._n_apps
+        lib, k = self._lib, self._k
         warps = [warp for core in sim.cores for warp in core.warps]
         state = (c_int64 * (4 * len(warps)))()
         lib.rk_read_warps(k, state)
@@ -468,21 +463,11 @@ class NativeEngine:
             active, parked, warp.pending, warp.iterations = state[4 * i:4 * i + 4]
             warp.active = bool(active)
             warp.parked = bool(parked)
-        buf = (c_int64 * (2 + 2 * n_apps))()
-        for level, caches, mshrs in (
-            (1, sim.l1s, sim.l1_mshrs), (2, sim.l2s, sim.l2_mshrs)
-        ):
-            for idx, cache in enumerate(caches):
-                lib.rk_read_cache(k, level, idx, buf)
-                stats = cache.stats
-                stats.accesses, stats.misses = buf[0], buf[1]
-                for a in range(n_apps):
-                    if buf[2 + a]:
-                        stats.accesses_by_app[a] = buf[2 + a]
-                    if buf[2 + n_apps + a]:
-                        stats.misses_by_app[a] = buf[2 + n_apps + a]
+        buf = (c_int64 * 2)()
+        for level, mshrs in ((1, sim.l1_mshrs), (2, sim.l2_mshrs)):
+            for idx, mshr in enumerate(mshrs):
                 lib.rk_read_mshr(k, level, idx, buf)
-                mshrs[idx].merges, mshrs[idx].allocation_failures = buf[0], buf[1]
+                mshr.merges, mshr.allocation_failures = buf[0], buf[1]
         link = (c_double * 4)()
         for response, ports in (
             (0, sim.crossbar.request_ports), (1, sim.crossbar.response_ports)

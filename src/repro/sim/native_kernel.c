@@ -2,9 +2,10 @@
  * Native event-loop kernel for closed-system simulator runs.
  *
  * This file is a line-for-line port of the hot path of
- * repro/sim/engine.py (Simulator._dispatch and its helpers),
- * repro/sim/dram.py (DRAMChannel._decide/_pick), repro/sim/cache.py
- * (SetAssocCache/MSHRTable) and repro/workloads/synthetic.py
+ * repro/sim/engine.py (Simulator._dispatch and its helpers, which hold
+ * the cache, MSHR, crossbar and issue rules), repro/sim/dram.py
+ * (DRAMChannel._decide/_pick), SetAssocCache.fill in repro/sim/cache.py
+ * and repro/workloads/synthetic.py
  * (WarpAddressStream, including CPython's MT19937 seeding and its
  * random()/randrange() draws).  The Python engine is the reference: a
  * change here must keep every golden fixture bit-identical on both
@@ -241,8 +242,6 @@ typedef struct {
     uint64_t *tags;
     int32_t *owner;
     int32_t *count;
-    int64_t accesses, misses;
-    int64_t *acc_by_app, *miss_by_app;
     uint8_t *bypass;  /* per app */
     int32_t *quota;   /* per app, -1 = none */
     int32_t n_bypass, n_quota;
@@ -307,7 +306,6 @@ typedef struct {
     int32_t qlen, capacity, deciding;
     int64_t hit_streak;
     double bus_free, last_activate;
-    int64_t row_hits, row_misses, lines_transferred;
     double busy_cycles;
 } Chan;
 
@@ -489,12 +487,9 @@ static int cache_init(Cache *c, int64_t n_sets, int64_t assoc, uint64_t line_byt
     c->tags = (uint64_t *)calloc((size_t)(n_sets * assoc), sizeof(uint64_t));
     c->owner = (int32_t *)calloc((size_t)(n_sets * assoc), sizeof(int32_t));
     c->count = (int32_t *)calloc((size_t)n_sets, sizeof(int32_t));
-    c->acc_by_app = (int64_t *)calloc((size_t)n_apps, sizeof(int64_t));
-    c->miss_by_app = (int64_t *)calloc((size_t)n_apps, sizeof(int64_t));
     c->bypass = (uint8_t *)calloc((size_t)n_apps, 1);
     c->quota = (int32_t *)malloc((size_t)n_apps * sizeof(int32_t));
-    if (!c->tags || !c->owner || !c->count || !c->acc_by_app || !c->miss_by_app || !c->bypass ||
-        !c->quota)
+    if (!c->tags || !c->owner || !c->count || !c->bypass || !c->quota)
         return -1;
     for (int i = 0; i < n_apps; i++) c->quota[i] = -1;
     return 0;
@@ -504,8 +499,6 @@ static void cache_free(Cache *c) {
     free(c->tags);
     free(c->owner);
     free(c->count);
-    free(c->acc_by_app);
-    free(c->miss_by_app);
     free(c->bypass);
     free(c->quota);
 }
@@ -529,8 +522,8 @@ static inline void set_remove(uint64_t *tags, int32_t *owner, int32_t n, int32_t
     }
 }
 
-/* `line in line_set`, refreshing recency on a hit (SetAssocCache.access
- * without the statistics, which callers batch). */
+/* `line in line_set`, refreshing recency on a hit: the L1/L2 lookup of
+ * Simulator._dispatch (callers count the access in AppStats). */
 static inline int cache_touch(Cache *c, uint64_t line) {
     uint64_t s = (line / c->line_bytes) % (uint64_t)c->n_sets;
     uint64_t *tags = c->tags + s * (uint64_t)c->assoc;
@@ -1031,13 +1024,11 @@ static void decide(K *k, Chan *c, double now) {
     req->row_hit = row_hit;
     if (row_hit) {
         c->hit_streak += 1;
-        c->row_hits += 1;
         col_issue = now;
         if (bank->free_at > col_issue) col_issue = bank->free_at;
         if (gcf[group] > col_issue) col_issue = gcf[group];
     } else {
         c->hit_streak = 0;
-        c->row_misses += 1;
         double act_start = now;
         if (bank->free_at > act_start) act_start = bank->free_at;
         double rrd_ok = c->last_activate + k->t_rrd;
@@ -1060,7 +1051,6 @@ static void decide(K *k, Chan *c, double now) {
     double data_end = data_start + k->burst;
     c->bus_free = data_end;
     bank->free_at = col_issue + t_ccd;
-    c->lines_transferred += 1;
     c->busy_cycles += k->burst;
     push(k, data_end, EV_REQ, req, 0);
     if (!c->qlen) {
@@ -1171,14 +1161,8 @@ static void compute_done(K *k, Txn *txn, double now) {
                 t2->channel = channel;
                 push(k, t, EV_TXN, t2, 0);
             }
-            l1->accesses += n;
-            l1->acc_by_app[app_id] += n;
             stats->l1_accesses += n;
-            if (n_misses) {
-                l1->misses += n_misses;
-                l1->miss_by_app[app_id] += n_misses;
-                stats->l1_misses += n_misses;
-            }
+            if (n_misses) stats->l1_misses += n_misses;
             if (n_hits) {
                 if (n_misses) {
                     Txn *resp = w->resp_txn;
@@ -1208,8 +1192,6 @@ static void l2_access(K *k, Txn *txn, double now) {
     uint64_t line = txn->line;
     Cache *l2 = &c->l2;
     int hit = cache_touch(l2, line);
-    l2->accesses += 1;
-    l2->acc_by_app[app_id] += 1;
     AppStats *stats = &k->stats[app_id];
     stats->l2_accesses += 1;
     if (hit) {
@@ -1227,8 +1209,6 @@ static void l2_access(K *k, Txn *txn, double now) {
         push(k, t, EV_TXN, txn, 0);
         return;
     }
-    l2->misses += 1;
-    l2->miss_by_app[app_id] += 1;
     stats->l2_misses += 1;
     MSHR *m = &c->l2m;
     int32_t r = mshr_find(m, line);
@@ -1591,8 +1571,7 @@ void rk_prof(K *k, int64_t *out) {
 }
 
 /* Per app: 9 integer counters (AppStats field order without
- * mem_latency_sum) and mem_latency_sum; per channel: row_hits,
- * row_misses, lines_transferred and busy_cycles. */
+ * mem_latency_sum) and mem_latency_sum; per channel: busy_cycles. */
 void rk_read_stats(K *k, int64_t *ints, double *dbls) {
     for (int32_t a = 0; a < k->n_apps; a++) {
         AppStats *s = &k->stats[a];
@@ -1608,26 +1587,8 @@ void rk_read_stats(K *k, int64_t *ints, double *dbls) {
         o[8] = s->row_misses;
         dbls[a] = s->mem_latency_sum;
     }
-    int64_t *ci = ints + 9 * k->n_apps;
     double *cd = dbls + k->n_apps;
-    for (int32_t ch = 0; ch < k->n_channels; ch++) {
-        Chan *c = &k->chans[ch];
-        ci[3 * ch] = c->row_hits;
-        ci[3 * ch + 1] = c->row_misses;
-        ci[3 * ch + 2] = c->lines_transferred;
-        cd[ch] = c->busy_cycles;
-    }
-}
-
-/* Cache counters: accesses, misses, then per-app accesses and misses. */
-void rk_read_cache(K *k, int32_t level, int32_t idx, int64_t *out) {
-    Cache *c = cache_at(k, level, idx);
-    out[0] = c->accesses;
-    out[1] = c->misses;
-    for (int32_t a = 0; a < k->n_apps; a++) {
-        out[2 + a] = c->acc_by_app[a];
-        out[2 + k->n_apps + a] = c->miss_by_app[a];
-    }
+    for (int32_t ch = 0; ch < k->n_channels; ch++) cd[ch] = k->chans[ch].busy_cycles;
 }
 
 /* MSHR counters: merges, allocation failures. */

@@ -119,9 +119,9 @@ class WindowSample:
 class StatsCollector:
     """Cumulative and windowed statistics for every application.
 
-    The simulator engine calls the ``note_*`` methods on the relevant
-    events; controllers read windows through :meth:`window` /
-    :meth:`cut_window`.
+    The engine increments the ``apps`` counters inline (the native
+    kernel syncs its copy into them) and reports memory latencies via
+    :meth:`note_mem_request`; controllers read :meth:`cut_window`.
     """
 
     def __init__(
@@ -153,29 +153,6 @@ class StatsCollector:
         self._measure_base[app_id] = AppStats()
 
     # --- event hooks -------------------------------------------------------
-
-    def note_insts(self, app_id: int, n: Insts) -> None:
-        self.apps[app_id].insts += n
-
-    def note_l1(self, app_id: int, hit: bool) -> None:
-        s = self.apps[app_id]
-        s.l1_accesses += 1
-        if not hit:
-            s.l1_misses += 1
-
-    def note_l2(self, app_id: int, hit: bool) -> None:
-        s = self.apps[app_id]
-        s.l2_accesses += 1
-        if not hit:
-            s.l2_misses += 1
-
-    def note_dram(self, app_id: int, row_hit: bool) -> None:
-        s = self.apps[app_id]
-        s.dram_lines += 1
-        if row_hit:
-            s.row_hits += 1
-        else:
-            s.row_misses += 1
 
     def note_mem_request(self, app_id: int, latency: Cycles) -> None:
         s = self.apps[app_id]

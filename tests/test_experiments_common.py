@@ -5,6 +5,7 @@ import pytest
 from repro.config import small_config
 from repro.core.runner import RunLengths
 from repro.experiments.common import ExperimentContext, ResultStore
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.workloads.table4 import app_by_abbr
 
 
@@ -41,6 +42,25 @@ class TestAloneCaching:
         assert second.best_tlp == first.best_tlp
         assert second.ipc_alone == pytest.approx(first.ipc_alone)
         assert set(second.sweep) == set(first.sweep)
+
+    def test_truncated_entry_is_recomputed(self, ctx, tmp_path):
+        """A torn ``alone`` entry is a miss: recomputed, then overwritten."""
+        app = app_by_abbr("BLK")
+        first = ctx.alone(app)
+        (entry,) = tmp_path.glob("alone-*.json")
+        text = entry.read_text()
+        entry.write_text(text[: len(text) // 2])
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            again = ctx.alone(app)
+        finally:
+            set_metrics(previous)
+        assert again == first
+        assert registry.counters["cache.alone.corrupt"] == 1
+        assert registry.counters["cache.alone.miss"] == 1
+        assert "cache.alone.hit" not in registry.counters
+        assert entry.read_text() == text, "the recomputed entry overwrote it"
 
     def test_different_seed_different_key(self, tmp_path):
         a = ExperimentContext(small_config(), RunLengths.quick(), seed=1,

@@ -311,8 +311,9 @@ def test_bypass_and_quota_set_before_run_agree(level):
 
 @needs_native
 def test_native_run_reads_back_component_counters():
-    """After a native run the Python components carry the kernel's
-    counters: cache and MSHR statistics, warp progress, TLP limits."""
+    """After a native run the Python side carries the kernel's counters:
+    per-app AppStats, MSHR, crossbar-link and channel busy-cycle
+    counters, warp progress, TLP limits."""
 
     def build():
         sim = Simulator(
@@ -331,11 +332,9 @@ def test_native_run_reads_back_component_counters():
             engine._set_native(previous)
         sink.append((
             sim.backend,
-            [(c.stats.accesses, c.stats.misses, c.stats.accesses_by_app,
-              c.stats.misses_by_app) for c in sim.l1s + sim.l2s],
+            [dataclasses.astuple(s) for s in sim.collector.apps.values()],
             [(m.merges, m.allocation_failures) for m in sim.l1_mshrs + sim.l2_mshrs],
-            [(ch.row_hits, ch.row_misses, ch.lines_transferred, ch.busy_cycles)
-             for ch in sim.channels],
+            [ch.busy_cycles for ch in sim.channels],
             [(p.free_at, p.packets, p.busy_cycles, p.queue_cycles)
              for p in sim.crossbar.request_ports + sim.crossbar.response_ports],
             [(w.active, w.parked, w.pending, w.iterations)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.stats import AppStats, StatsCollector, WindowSample
+from tests.trace_runs import LINE, run_trace
 
 
 def make_collector(peak: float = 1.0) -> StatsCollector:
@@ -68,50 +69,48 @@ class TestWindowSample:
 
 
 class TestStatsCollector:
-    def test_note_hooks(self):
-        c = make_collector()
-        c.note_insts(0, 10)
-        c.note_l1(0, hit=False)
-        c.note_l1(0, hit=True)
-        c.note_l2(0, hit=False)
-        c.note_dram(0, row_hit=True)
-        c.note_mem_request(0, 150.0)
-        s = c.apps[0]
-        assert s.insts == 10
-        assert (s.l1_accesses, s.l1_misses) == (2, 1)
-        assert (s.l2_accesses, s.l2_misses) == (1, 1)
-        assert s.dram_lines == 1 and s.row_hits == 1
-        assert s.mem_requests == 1 and s.mem_latency_sum == 150.0
+    def test_engine_counts_each_event(self):
+        """The engine's inline increments land in the collector's
+        AppStats: 10 + 5 instructions; A misses, then A hits and B
+        misses; both misses go to DRAM, the second one a row hit."""
+        run = run_trace([[(10, [0]), (5, [0, LINE])]])
+        s = run.sim.collector.apps[0]
+        assert s.insts == 15
+        assert (s.l1_accesses, s.l1_misses) == (3, 2)
+        assert (s.l2_accesses, s.l2_misses) == (2, 2)
+        assert (s.dram_lines, s.row_hits, s.row_misses) == (2, 1, 1)
+        assert s.mem_requests == 2
+        assert s.mem_latency_sum == pytest.approx(sum(run.latencies))
 
     def test_windows_are_deltas(self):
         c = make_collector()
-        c.note_insts(0, 100)
+        c.apps[0].insts += 100
         first = c.cut_window(10.0)
         assert first[0].insts == 100
-        c.note_insts(0, 50)
+        c.apps[0].insts += 50
         second = c.cut_window(20.0)
         assert second[0].insts == 50
         assert second[0].cycles == 10.0
 
     def test_apps_tracked_independently(self):
         c = make_collector()
-        c.note_insts(0, 10)
-        c.note_insts(1, 20)
+        c.apps[0].insts += 10
+        c.apps[1].insts += 20
         w = c.cut_window(5.0)
         assert w[0].insts == 10
         assert w[1].insts == 20
 
     def test_measurement_excludes_warmup(self):
         c = make_collector()
-        c.note_insts(0, 1000)  # warmup work
+        c.apps[0].insts += 1000  # warmup work
         c.start_measurement(50.0)
-        c.note_insts(0, 10)
+        c.apps[0].insts += 10
         m = c.measurement(60.0)
         assert m[0].insts == 10
         assert m[0].ipc == pytest.approx(1.0)
 
     def test_window_without_cut_does_not_reset(self):
         c = make_collector()
-        c.note_insts(0, 10)
+        c.apps[0].insts += 10
         assert c.window(10.0)[0].insts == 10
         assert c.window(10.0)[0].insts == 10
