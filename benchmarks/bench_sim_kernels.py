@@ -20,7 +20,7 @@ def test_dram_channel_throughput(benchmark):
 
     def drain():
         events = EventQueue()
-        channel = DRAMChannel(0, config, amap, events.push)
+        channel = DRAMChannel(0, config, amap, events)
         done = []
         rng = random.Random(3)
         pending = [

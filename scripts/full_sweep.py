@@ -1,27 +1,20 @@
 """Full evaluation sweep: all schemes on all 25 evaluated pairs.
 
-Pass ``--trace`` to record the sweep (JSONL trace + Perfetto export +
-manifest under ``results/traces/``); summarize it afterwards with
-``python -m repro trace summarize <run-id>``.
+Pass ``--trace`` to record the sweep (the JSONL event log + Perfetto
+export + manifest under ``results/traces/``, made by the same helper as
+the CLI's ``--trace``); follow it live with ``python -m repro watch
+<run-id>`` and summarize it afterwards with ``python -m repro trace
+summarize <run-id>``.
 """
 import argparse
-import dataclasses
 import math
 import sys
 import time
-from pathlib import Path
 
 from repro import medium_config
-from repro.experiments.common import CACHE_FORMAT, ExperimentContext
-from repro.obs import (
-    MetricsRegistry,
-    RunManifest,
-    Tracer,
-    get_metrics,
-    set_metrics,
-    tracing,
-    write_chrome_trace,
-)
+from repro.cli import run_traced
+from repro.exec import resolve_jobs
+from repro.experiments.common import ExperimentContext
 from repro.workloads.generator import EVALUATED_PAIRS
 
 SCHEMES = ("besttlp", "maxtlp", "dyncta", "ccws", "modbypass",
@@ -59,35 +52,20 @@ def main(argv=None):
                         help="record a structured trace of the sweep")
     parser.add_argument("--trace-dir", default="results/traces", metavar="DIR")
     args = parser.parse_args(argv)
-    config = medium_config()
-    ctx = ExperimentContext(config=config, seed=args.seed)
+    ctx = ExperimentContext(config=medium_config(), seed=args.seed)
     if not args.trace:
         run_sweep(ctx)
         return
-    run_id = f"full_sweep-{time.strftime('%Y%m%d-%H%M%S')}-seed{args.seed}"
-    out_dir = Path(args.trace_dir) / run_id
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest.start(
-        run_id=run_id, command="full_sweep", argv=list(sys.argv[1:]),
-        config_name="medium", config_dict=dataclasses.asdict(config),
-        seed=args.seed, quick=False, n_jobs=ctx.n_jobs,
-        cache_format=CACHE_FORMAT,
-        repo_root=Path(__file__).resolve().parents[1],
+    run_traced(
+        lambda: run_sweep(ctx),
+        command="full_sweep",
+        argv=list(sys.argv[1:] if argv is None else argv),
+        config_name="medium",
+        seed=args.seed,
+        quick=False,
+        n_jobs=resolve_jobs(ctx.n_jobs),
+        trace_dir=args.trace_dir,
     )
-    tracer = Tracer(run_id)
-    previous = set_metrics(MetricsRegistry())
-    try:
-        with tracing(tracer):
-            run_sweep(ctx)
-    finally:
-        snapshot = get_metrics().snapshot()
-        set_metrics(previous)
-        tracer.write(out_dir / "trace.jsonl")
-        write_chrome_trace(out_dir / "trace.chrome.json", tracer.events, run_id)
-        manifest.finish(phases=tracer.phase_totals(), metrics=snapshot,
-                        files=["trace.jsonl", "trace.chrome.json"])
-        manifest.write(out_dir)
-        print(f"trace written to {out_dir}", file=sys.stderr)
 
 if __name__ == "__main__":
     main()

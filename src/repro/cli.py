@@ -38,7 +38,7 @@ Commands
 
 ``watch RUN``
     Follow the live dashboard of a running (or finished) traced sweep
-    by tailing its ``live.ndjson`` stream.
+    by tailing its event log (``trace.jsonl``).
 
 ``bench history``
     Render the engine benchmark trend from ``results/bench_history.jsonl``
@@ -48,11 +48,11 @@ All simulation commands accept ``--config {paper,medium,small}``, ``--quick``
 (short test-scale runs), ``--seed N`` and ``--jobs N`` (parallel
 simulation workers; default ``$REPRO_JOBS``, else all cores) — before
 or after the subcommand.  Heavy products are cached under ``results/``.
-With ``--trace``, a run additionally writes a JSONL event trace, a
-Chrome/Perfetto export, a live NDJSON telemetry stream, and a
-provenance manifest under ``results/traces/<run-id>/``.  ``--watch``
-(live dashboard) and ``--profile`` (cProfile worker jobs + engine
-self-profiling counters) both imply ``--trace``.
+With ``--trace``, a run additionally writes its JSONL event log
+(``trace.jsonl``, streamed as the run goes), a Chrome/Perfetto export,
+and a provenance manifest under ``results/traces/<run-id>/``.
+``--watch`` (live dashboard over the log) and ``--profile`` (cProfile
+worker jobs + engine self-profiling counters) both imply ``--trace``.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ import argparse
 import dataclasses
 import json
 import sys
+import threading
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from repro.config import GPUConfig, medium_config, paper_config, small_config
@@ -80,17 +81,16 @@ from repro.obs.bench import (
     render_bench_history,
 )
 from repro.obs.chrome import write_chrome_trace
-from repro.obs.dashboard import Dashboard
 from repro.obs.dashboard import watch as watch_live
 from repro.obs.live import LiveHub, set_publisher
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
-from repro.obs.summarize import summarize, summary_data
-from repro.obs.trace import Tracer, tracing
+from repro.obs.summarize import resolve_trace_path, summarize, summary_data
+from repro.obs.trace import tracing
 from repro.sim import set_engine_profiling
 from repro.workloads.table4 import APPLICATIONS, app_by_abbr
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "run_traced"]
 
 _CONFIGS = {
     "paper": paper_config,
@@ -218,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the summary as machine-readable JSON",
     )
 
-    # watch follows the live stream of a traced run; no sim options.
+    # watch follows the event log of a traced run; no sim options.
     p_watch = sub.add_parser(
         "watch", help="follow the live dashboard of a traced run"
     )
     p_watch.add_argument(
         "run", metavar="RUN",
         help="run id under the trace directory, a run directory, "
-        "or a live.ndjson path",
+        "or a trace.jsonl path",
     )
     p_watch.add_argument(
         "--trace-dir", default=DEFAULT_TRACE_DIR, metavar="DIR",
@@ -457,11 +457,17 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    target: str | Path = args.run
+def _trace_log(args: argparse.Namespace) -> Path:
+    """The event log a ``trace``/``watch`` RUN argument names."""
+    target = Path(args.run)
     candidate = Path(args.trace_dir) / args.run
-    if not Path(args.run).exists() and candidate.exists():
+    if not target.exists() and candidate.exists():
         target = candidate
+    return resolve_trace_path(target)
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    target = _trace_log(args)
     if getattr(args, "as_json", False):
         print(json.dumps(summary_data(target), indent=2, sort_keys=True))
     else:
@@ -470,19 +476,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    path = Path(args.run)
-    if path.is_file():
-        live_path = path
-    elif path.is_dir():
-        live_path = path / "live.ndjson"
-    else:
-        live_path = Path(args.trace_dir) / args.run / "live.ndjson"
-    if not live_path.is_file():
-        raise FileNotFoundError(
-            f"no live stream for {args.run!r} (tried {live_path})"
-        )
     state = watch_live(
-        live_path,
+        _trace_log(args),
         follow=not args.no_follow,
         timeout_s=args.timeout,
         run_id=str(args.run),
@@ -522,55 +517,64 @@ _COMMANDS = {
 }
 
 
-def _run_traced(args: argparse.Namespace, argv: list[str]) -> int:
-    """Run a simulation command with tracer + live telemetry installed.
+def run_traced(
+    body: Callable[[], int | None],
+    *,
+    command: str,
+    argv: list[str],
+    config_name: str,
+    seed: int,
+    quick: bool,
+    n_jobs: int,
+    trace_dir: str | Path = DEFAULT_TRACE_DIR,
+    profile: bool = False,
+    watch: bool = False,
+) -> int | None:
+    """Run ``body`` with the live event log installed; return its result.
 
-    Produces ``<trace-dir>/<run-id>/`` holding the JSONL trace, its
-    Chrome/Perfetto export, the ``live.ndjson`` telemetry stream, and
-    the provenance manifest.  The manifest is written even when the
-    command fails: a crashed run's partial trace is exactly the one
-    worth inspecting.  ``--watch`` attaches a dashboard to the live
-    stream in-process; ``--profile`` enables cProfile around worker
+    Produces ``<trace_dir>/<run-id>/`` holding the event log
+    (``trace.jsonl``, streamed as the run goes), its Chrome/Perfetto
+    export, and the provenance manifest — the one way every traced run
+    directory is made.  The manifest is written even when ``body``
+    fails: a crashed run's partial log is exactly the one worth
+    inspecting.  ``watch`` tails the log into a dashboard on stderr
+    while the run executes; ``profile`` enables cProfile around worker
     jobs and the engine's self-profiling counters.
     """
-    run_id = (
-        f"{args.command}-{time.strftime('%Y%m%d-%H%M%S')}-seed{args.seed}"
-    )
-    out_dir = Path(args.trace_dir) / run_id
+    run_id = f"{command}-{time.strftime('%Y%m%d-%H%M%S')}-seed{seed}"
+    out_dir = Path(trace_dir) / run_id
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.start(
         run_id=run_id,
-        command=args.command,
+        command=command,
         argv=argv,
-        config_name=args.config,
-        config_dict=dataclasses.asdict(_CONFIGS[args.config]()),
-        seed=args.seed,
-        quick=args.quick,
-        n_jobs=resolve_jobs(args.jobs),
+        config_name=config_name,
+        config_dict=dataclasses.asdict(_CONFIGS[config_name]()),
+        seed=seed,
+        quick=quick,
+        n_jobs=n_jobs,
         cache_format=CACHE_FORMAT,
         repo_root=Path(__file__).resolve().parents[2],
     )
-    tracer = Tracer(run_id)
-    profiled = getattr(args, "profile", False)
     # A fresh metrics registry isolates this run's counters (cache
     # hits/misses, timers) from anything else in the process.
     previous_metrics = set_metrics(MetricsRegistry())
-    dashboard = (
-        Dashboard(run_id=run_id) if getattr(args, "watch", False) else None
-    )
-    hub = LiveHub(
-        run_id,
-        out_dir / "live.ndjson",
-        profile=profiled,
-        on_record=dashboard.on_record if dashboard is not None else None,
-    )
+    hub = LiveHub(run_id, out_dir / "trace.jsonl", profile=profile)
+    tracer = hub.tracer
+    watcher = None
+    if watch:
+        watcher = threading.Thread(
+            target=watch_live, args=(hub.path,), kwargs={"run_id": run_id},
+            name="live-dashboard", daemon=True,
+        )
+        watcher.start()
     previous_publisher = set_publisher(hub.publisher)
-    previous_profiling = set_engine_profiling(True) if profiled else None
+    previous_profiling = set_engine_profiling(True) if profile else None
     written: list[str] = []
     try:
         with tracing(tracer):
             try:
-                code = _COMMANDS[args.command](args)
+                return body()
             finally:
                 set_publisher(previous_publisher)
                 if previous_profiling is not None:
@@ -578,17 +582,16 @@ def _run_traced(args: argparse.Namespace, argv: list[str]) -> int:
                 # Close the hub while the tracer and this run's metrics
                 # registry are still ambient: the final drain merges the
                 # last worker metric deltas into the run's registry and
-                # folds profile frames into the trace being exported.
+                # logs their last profile frames before the log seals.
                 hub.close()
-                written.append("live.ndjson")
+                written.append(hub.path.name)
+                if watcher is not None:
+                    watcher.join(timeout=10)
     finally:
         metrics_snapshot = get_metrics().snapshot()
         set_metrics(previous_metrics)
-        trace_path = out_dir / "trace.jsonl"
         chrome_path = out_dir / "trace.chrome.json"
         try:
-            tracer.write(trace_path)
-            written.append(trace_path.name)
             write_chrome_trace(chrome_path, tracer.events, run_id)
             written.append(chrome_path.name)
         finally:
@@ -602,7 +605,23 @@ def _run_traced(args: argparse.Namespace, argv: list[str]) -> int:
             )
             manifest.write(out_dir)
             print(f"trace written to {out_dir}", file=sys.stderr)
-    return code
+
+
+def _run_traced(args: argparse.Namespace, argv: list[str]) -> int:
+    """Run a simulation command under :func:`run_traced`."""
+    code = run_traced(
+        lambda: _COMMANDS[args.command](args),
+        command=args.command,
+        argv=argv,
+        config_name=args.config,
+        seed=args.seed,
+        quick=args.quick,
+        n_jobs=resolve_jobs(args.jobs),
+        trace_dir=args.trace_dir,
+        profile=getattr(args, "profile", False),
+        watch=getattr(args, "watch", False),
+    )
+    return int(code or 0)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

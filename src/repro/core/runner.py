@@ -43,7 +43,6 @@ from repro.core.tlp import all_combos
 from repro.exec.jobs import SimJob, run_sim_job
 from repro.exec.pool import ProgressFn, run_jobs
 from repro.metrics.slowdown import fairness_index, harmonic_speedup, weighted_speedup
-from repro.obs.live import get_publisher, result_records
 from repro.obs.trace import CLOCK_CYCLES, NullTracer, Tracer, get_tracer
 from repro.sim.engine import SimResult, Simulator
 from repro.sim.stats import WindowSample
@@ -57,6 +56,8 @@ __all__ = [
     "SchemeResult",
     "ALL_SCHEMES",
     "alone_from_sweep",
+    "emit_job_events",
+    "emit_result_events",
     "emit_scheme_events",
     "profile_alone",
     "profile_surface",
@@ -240,6 +241,7 @@ def profile_alone(
         for level in levels
     ]
     results = run_jobs(run_sim_job, jobs, n_jobs=n_jobs, progress=progress)
+    emit_job_events(jobs, results)
     sweep = {level: result.samples[0] for level, result in zip(levels, results)}
     return alone_from_sweep(app.abbr, sweep)
 
@@ -301,6 +303,7 @@ def profile_surface(
         for combo in combos
     ]
     results = run_jobs(run_sim_job, jobs, n_jobs=n_jobs, progress=progress)
+    emit_job_events(jobs, results)
     return dict(zip(combos, results))
 
 
@@ -423,53 +426,90 @@ def evaluate_scheme(
     )
 
 
-def emit_scheme_events(
-    result: SchemeResult, tracer: "Tracer | NullTracer | None" = None
+def emit_result_events(
+    result: SimResult,
+    workload: str,
+    scheme: str,
+    decisions: "list[dict] | tuple[dict, ...]" = (),
+    tracer: "Tracer | NullTracer | None" = None,
 ) -> None:
-    """Emit a scheme evaluation's sim-layer telemetry onto the tracer.
+    """Record one simulation result's sim-layer telemetry on the tracer.
 
-    Emission happens *after* the run, from the persisted window log and
-    decision log, for two reasons: the simulator hot loop stays free of
-    tracing overhead, and the same telemetry is replayable from cached
-    results and from scheme evaluations computed in pool workers (whose
-    in-process tracer is the null one).
-
-    Counter events are named ``{workload}|{scheme}|app{N}`` with the
-    per-window EB/BW/CMR series; decision records become instants in
-    the ``pbs`` (online PBS) or ``ctrl`` (baseline) category.  All of
-    them are cycle-stamped.
-
-    The live telemetry stream gets the same windows and decisions, from
-    the same seam: the *parent-side* publisher emits them here exactly
-    once per scheme result — whether it was evaluated in-process, in a
-    pool worker, or replayed from cache — so pool workers deliberately
-    do not publish SchemeResult windows themselves.
+    The one seam from results to the event log.  Every window sample
+    becomes a counter named ``{workload}|{scheme}|app{N}`` with the
+    ``eb``/``bw``/``cmr``/``ipc`` series; every controller decision an
+    instant in the ``pbs`` (online PBS) or ``ctrl`` (baseline) category
+    with its full detail; every roster record of an open-system run a
+    ``cat="tenancy"`` instant.  All of them are cycle-stamped.
     """
-    publisher = get_publisher()
-    if publisher.enabled and not publisher.worker:
-        for record in result_records(result, window_cap=publisher.window_cap):
-            publisher.publish(record)
     tracer = tracer if tracer is not None else get_tracer()
     if not tracer.enabled:
         return
-    for t, samples in result.result.windows:
+    for t, samples in result.windows:
         for a in sorted(samples):
             s = samples[a]
             tracer.counter(
-                f"{result.workload}|{result.scheme}|app{a}",
-                {"eb": s.eb, "bw": s.bw, "cmr": s.cmr},
+                f"{workload}|{scheme}|app{a}",
+                {"eb": s.eb, "bw": s.bw, "cmr": s.cmr, "ipc": s.ipc},
                 ts=t,
                 cat="window",
             )
-    cat = "pbs" if result.scheme.startswith("pbs") else "ctrl"
-    for d in result.decisions:
+    cat = "pbs" if scheme.startswith("pbs") else "ctrl"
+    for d in decisions:
         detail = {k: v for k, v in d.items() if k not in ("kind", "cycle")}
         tracer.instant(
             f"{cat}.{d['kind']}",
             cat=cat,
             clock=CLOCK_CYCLES,
             ts=d["cycle"],
-            workload=result.workload,
-            scheme=result.scheme,
+            workload=workload,
+            scheme=scheme,
             **detail,
         )
+    for rec in result.roster:
+        detail = {k: v for k, v in rec.items() if k != "cycle"}
+        tracer.instant(
+            f"tenancy.{rec['event']}",
+            cat="tenancy",
+            clock=CLOCK_CYCLES,
+            ts=rec["cycle"],
+            workload=workload,
+            scheme=scheme,
+            **detail,
+        )
+
+
+def emit_scheme_events(
+    result: SchemeResult, tracer: "Tracer | NullTracer | None" = None
+) -> None:
+    """Emit a scheme evaluation's sim-layer telemetry onto the tracer.
+
+    Emission happens *after* the run, from the persisted window log,
+    decision log and roster timeline, for two reasons: the simulator hot
+    loop stays free of tracing overhead, and the same telemetry is
+    replayable from cached results and from scheme evaluations computed
+    in pool workers.  The parent emits exactly once per scheme result —
+    whether it was evaluated in-process, in a pool worker, or replayed
+    from cache — so a run's sim-clock events do not depend on where or
+    whether it simulated.
+    """
+    emit_result_events(
+        result.result, result.workload, result.scheme, result.decisions, tracer
+    )
+
+
+def emit_job_events(jobs: list[SimJob], results: list[SimResult]) -> None:
+    """Emit the telemetry of freshly simulated alone/surface jobs.
+
+    A job tagged ``(kind, workload, ...)`` at TLP combination ``(a, b)``
+    logs its windows under the scheme label ``kind@axb`` (``alone@8``,
+    ``surface@4x16``), so every TLP point is its own series.  Callers
+    pass executed jobs only: cached products are never replayed.
+    """
+    tracer = get_tracer()
+    if not tracer.enabled:
+        return
+    for job, result in zip(jobs, results):
+        kind, workload = (job.tag or ("run", "?"))[:2]
+        combo = "x".join(str(tlp) for tlp in job.combo)
+        emit_result_events(result, str(workload), f"{kind}@{combo}", tracer=tracer)

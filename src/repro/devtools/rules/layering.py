@@ -40,7 +40,7 @@ _FACADE_CONSUMERS = ("repro.experiments", "repro.metrics", "repro.analysis")
 #: Layers the simulator itself may never import.
 _ABOVE_SIM = ("repro.experiments", "repro.metrics", "repro.analysis")
 
-#: Observability modules that *consume* simulator output (live stream,
+#: Observability modules that *consume* simulator output (live hub,
 #: dashboard); the engine may use the tracer/metrics seam, never these.
 _SIM_FORBIDDEN_OBS = ("repro.obs.live", "repro.obs.dashboard")
 

@@ -130,7 +130,7 @@ TELEMETRY_BOUNDARY = frozenset({
     "repro.exec.pool",      # worker timing, REPRO_JOBS sizing
     "repro.obs.trace",      # span timestamps
     "repro.obs.metrics",    # timer instruments
-    "repro.obs.live",       # stream heartbeats
+    "repro.obs.live",       # live event log: worker messages
     "repro.obs.dashboard",  # render clock
     "repro.obs.chrome",     # trace-viewer timestamps
     "repro.obs.bench",      # benchmark timing

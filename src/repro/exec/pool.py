@@ -24,22 +24,24 @@ job's duration up to the failure, and the worker-side traceback text
 futures and propagates as itself.
 
 Telemetry: when the ambient tracer (:func:`repro.obs.get_tracer`) is
-enabled, every job is timed *inside* the worker process and recorded as
-a ``cat="job"`` span carrying the worker's pid and its queue wait (time
-between submission and the worker actually starting, i.e. time spent
-waiting for a pool slot).  Progress callbacks may opt into per-job
-timing by accepting a fourth argument: ``progress(done, total, spec,
-elapsed_s)``; three-argument callbacks keep working unchanged, and
+enabled, the parent records each batch as a ``cat="exec"`` ``batch``
+instant, every job as a ``cat="job"`` span carrying the worker's pid and
+its queue wait (time between submission and the worker actually
+starting, i.e. time spent waiting for a pool slot), and a failing job as
+a ``job_fail`` instant before it raises :class:`JobError`.  Jobs are
+timed *inside* the worker process.  Progress callbacks may opt into
+per-job timing by accepting a fourth argument: ``progress(done, total,
+spec, elapsed_s)``; three-argument callbacks keep working unchanged, and
 :class:`ProgressThrottle` wraps either kind to cap the redraw rate.
 
 Live telemetry: when the ambient publisher (:func:`repro.obs.live.
 get_publisher`) is enabled, each pool worker is initialized with its
-own :class:`~repro.obs.live.QueuePublisher` onto the parent's queue and
-every job streams lifecycle records, per-window counters, optional
-cProfile hot frames, and a metrics-registry snapshot back to the
-collector as it completes — see :mod:`repro.obs.live`.  With the
-default :class:`~repro.obs.live.NullPublisher` the entire machinery is
-one attribute read.
+own :class:`~repro.obs.live.QueuePublisher` onto the parent hub's queue
+and sends only what the parent cannot know: a ``job_start`` message as
+each job begins, its cProfile hot frames under ``--profile``, and its
+metrics-registry delta — see :mod:`repro.obs.live`.  With the default
+:class:`~repro.obs.live.NullPublisher` the entire machinery is one
+attribute read.
 """
 
 from __future__ import annotations
@@ -51,17 +53,16 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from functools import partial
-from typing import Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 from repro.obs.live import (
     QueuePublisher,
     get_publisher,
     profile_frames,
-    result_records,
     set_publisher,
 )
 from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer
+from repro.obs.trace import NullTracer, Tracer, get_tracer
 
 __all__ = [
     "JOBS_ENV_VAR",
@@ -179,18 +180,6 @@ def _job_name(spec: object) -> str:
     return f"job:{type(spec).__name__}"
 
 
-def _timed_call(worker: Callable[[S], R], spec: S) -> tuple[R, float, int]:
-    """Pool worker wrapper: run the job and report its own wall time.
-
-    Returns ``(result, elapsed_seconds, worker_pid)`` so the parent can
-    separate compute time from queue wait and attribute the job to a
-    worker track in the trace.  Module-level so it pickles.
-    """
-    t0 = time.perf_counter()
-    value = worker(spec)
-    return value, time.perf_counter() - t0, os.getpid()
-
-
 class ProgressThrottle:
     """Rate-limits a progress callback to one delivery per interval.
 
@@ -235,7 +224,7 @@ class ProgressThrottle:
             self.progress(done, total, spec)
 
 
-def _init_live_worker(channel: object, config: dict) -> None:
+def _init_live_worker(channel: Any, config: dict) -> None:
     """Pool-worker initializer for live-telemetry runs.
 
     Installs a worker-side :class:`~repro.obs.live.QueuePublisher` onto
@@ -245,7 +234,7 @@ def _init_live_worker(channel: object, config: dict) -> None:
     since workers publish snapshot-then-reset *deltas*, starting from
     the parent's totals would double-count them on merge.
     """
-    set_publisher(QueuePublisher(channel, worker=True, **config))
+    set_publisher(QueuePublisher(channel, **config))
     get_metrics().reset()
     if config.get("profile"):
         from repro.sim.engine import set_engine_profiling
@@ -253,58 +242,37 @@ def _init_live_worker(channel: object, config: dict) -> None:
         set_engine_profiling(True)
 
 
-def _live_timed_call(worker: Callable[[S], R], spec: S) -> tuple[R, float, int]:
-    """Like :func:`_timed_call`, but streaming telemetry as it goes.
+def _timed_call(worker: Callable[[S], R], spec: S) -> tuple[R, float, int]:
+    """Pool worker wrapper: run the job and report its own wall time.
 
-    Publishes the job lifecycle (start/done/fail), stride-capped window
-    records from the job's result, cProfile hot frames when profiling,
-    and — in pool workers — the metrics-registry delta accumulated by
-    the job, then a throttled heartbeat.  Module-level so it pickles.
+    Returns ``(result, elapsed_seconds, worker_pid)`` so the parent can
+    separate compute time from queue wait and attribute the job to a
+    worker track in the trace; a failure carries the pid as
+    ``worker_pid`` on the exception.  With live telemetry on, it sends
+    the parent what only the worker knows: ``job_start``, the job's
+    cProfile hot frames when profiling, and — in pool workers — the
+    metrics-registry delta the job accumulated.  Module-level so it
+    pickles.
     """
     publisher = get_publisher()
     pid = os.getpid()
-    name = _job_name(spec)
-    publisher.publish({"type": "job_start", "job": name, "pid": pid})
-    prof = cProfile.Profile() if publisher.profile else None
+    prof: cProfile.Profile | None = None
+    if publisher.enabled:
+        publisher.publish({"type": "job_start", "job": _job_name(spec), "pid": pid})
+        if publisher.profile:
+            prof = cProfile.Profile()
     t0 = time.perf_counter()
     try:
-        if prof is not None:
-            value = prof.runcall(worker, spec)
-        else:
-            value = worker(spec)
+        value = worker(spec) if prof is None else prof.runcall(worker, spec)
     except Exception as exc:
-        publisher.publish(
-            {
-                "type": "job_fail",
-                "job": name,
-                "pid": pid,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        )
+        exc.worker_pid = pid  # type: ignore[attr-defined]
         raise
     elapsed = time.perf_counter() - t0
-    publisher.publish(
-        {
-            "type": "job_done",
-            "job": name,
-            "pid": pid,
-            "elapsed_s": round(elapsed, 6),
-        }
-    )
-    # SchemeResults are streamed by the parent's emit_scheme_events —
-    # the single seam that also covers cached and in-process scheme
-    # evaluations — so workers publish window records only for bare
-    # SimResults (alone/surface jobs).
-    if not hasattr(getattr(value, "result", None), "windows"):
-        for record in result_records(
-            value, getattr(spec, "tag", None), window_cap=publisher.window_cap
-        ):
-            publisher.publish(record)
     if prof is not None:
         publisher.publish(
             {
                 "type": "profile",
-                "job": name,
+                "job": _job_name(spec),
                 "pid": pid,
                 "frames": profile_frames(prof, top=publisher.profile_top),
             }
@@ -329,8 +297,22 @@ def _live_timed_call(worker: Callable[[S], R], spec: S) -> tuple[R, float, int]:
                     "snapshot": snapshot,
                 }
             )
-    publisher.heartbeat()
     return value, elapsed, pid
+
+
+def _job_failed(
+    tracer: Tracer | NullTracer, spec: object, exc: BaseException, duration: float
+) -> JobError:
+    """Log a ``job_fail`` instant and build the :class:`JobError` to raise."""
+    if tracer.enabled:
+        tracer.instant(
+            "job_fail",
+            cat="job",
+            job=_job_name(spec),
+            pid=getattr(exc, "worker_pid", os.getpid()),
+            error=f"{type(exc).__name__}: {exc}",
+        )
+    return JobError(spec, exc, duration=duration)
 
 
 def _notify(
@@ -369,31 +351,22 @@ def run_jobs(
     n_jobs = resolve_jobs(n_jobs)
     tracer = get_tracer()
     publisher = get_publisher()
-    live = publisher.enabled
     with_elapsed = progress is not None and _accepts_elapsed(progress)
-
-    # The batch record seeds the dashboard's total/ETA.  Only the
-    # parent-side publisher announces it: a worker's own nested
-    # run_jobs (rare — cache hits short-circuit) would otherwise
-    # inflate the sweep total.
-    if live and not publisher.worker:
-        publisher.publish({"type": "batch", "total": total})
+    if tracer.enabled:
+        # The batch instant seeds the dashboard's total/ETA.
+        tracer.instant("batch", cat="exec", total=total)
 
     if n_jobs == 1 or total == 1:
         results: list[R] = []
         for done, spec in enumerate(specs, start=1):
             t0 = time.perf_counter()
             try:
-                if live:
-                    value, elapsed, _pid = _live_timed_call(worker, spec)
-                else:
-                    value = worker(spec)
-                    elapsed = time.perf_counter() - t0
-                results.append(value)
+                value, elapsed, _pid = _timed_call(worker, spec)
             except Exception as exc:
-                raise JobError(
-                    spec, exc, duration=time.perf_counter() - t0
+                raise _job_failed(
+                    tracer, spec, exc, time.perf_counter() - t0
                 ) from exc
+            results.append(value)
             if tracer.enabled:
                 dur_us = elapsed * 1e6
                 tracer.complete(
@@ -409,18 +382,13 @@ def run_jobs(
 
     # Worker-side timing is only worth the extra pickling when someone
     # consumes it: an enabled tracer, an elapsed-aware callback, or the
-    # live stream (whose wrapper returns the same timed tuple).
-    timed = tracer.enabled or with_elapsed or live
-    if live:
-        call = partial(_live_timed_call, worker)
-    elif timed:
-        call = partial(_timed_call, worker)
-    else:
-        call = worker
+    # live hub.
+    timed = tracer.enabled or with_elapsed or publisher.enabled
+    call = partial(_timed_call, worker) if timed else worker
     pool_kwargs: dict = {}
-    if live:
+    if isinstance(publisher, QueuePublisher):
         # fork-inherited queue: the initializer installs a worker-side
-        # publisher bound to the parent collector's channel
+        # publisher bound to the parent hub's channel
         pool_kwargs = {
             "initializer": _init_live_worker,
             "initargs": (publisher.channel, publisher.worker_config()),
@@ -439,9 +407,8 @@ def run_jobs(
                 try:
                     value = future.result()
                 except Exception as exc:
-                    raise JobError(
-                        specs[i], exc,
-                        duration=time.perf_counter() - submitted,
+                    raise _job_failed(
+                        tracer, specs[i], exc, time.perf_counter() - submitted
                     ) from exc
                 if timed:
                     value, elapsed, worker_pid = value  # type: ignore[misc]

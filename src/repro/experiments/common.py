@@ -27,6 +27,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, TypeVar
 
 from repro.config import GPUConfig, TLP_LEVELS
 from repro.core.runner import (
@@ -34,6 +35,7 @@ from repro.core.runner import (
     RunLengths,
     SchemeResult,
     alone_from_sweep,
+    emit_job_events,
     emit_scheme_events,
     evaluate_scheme,
     profile_surface,
@@ -49,6 +51,8 @@ from repro.workloads.table4 import app_by_abbr
 
 __all__ = ["ResultStore", "ExperimentContext", "DEFAULT_RESULTS_DIR",
            "CACHE_FORMAT", "SCHEME_VERSIONS", "atomic_write_text"]
+
+T = TypeVar("T")
 
 DEFAULT_RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"
 
@@ -133,6 +137,39 @@ def _result_from_dict(data: dict) -> SimResult:
     )
 
 
+def _alone_from_dict(data: dict) -> AloneProfile:
+    return AloneProfile(
+        abbr=data["abbr"],
+        best_tlp=data["best_tlp"],
+        ipc_alone=data["ipc_alone"],
+        eb_alone=data["eb_alone"],
+        sweep={int(lv): _sample_from_dict(s) for lv, s in data["sweep"].items()},
+    )
+
+
+def _surface_from_dict(data: dict) -> dict[tuple[int, ...], SimResult]:
+    return {
+        tuple(json.loads(combo)): _result_from_dict(res)
+        for combo, res in data.items()
+    }
+
+
+def _scheme_from_dict(data: dict) -> SchemeResult:
+    return SchemeResult(
+        scheme=data["scheme"],
+        workload=data["workload"],
+        combo=tuple(data["combo"]) if data["combo"] else None,
+        sds=data["sds"],
+        ws=data["ws"],
+        fi=data["fi"],
+        hs=data["hs"],
+        ebs=data["ebs"],
+        ipcs=data["ipcs"],
+        result=_result_from_dict(data["result"]),
+        decisions=data.get("decisions", []),
+    )
+
+
 def _fingerprint(*parts: object) -> str:
     blob = json.dumps([repr(p) for p in parts], sort_keys=True).encode()
     return hashlib.md5(blob).hexdigest()[:16]
@@ -155,8 +192,9 @@ class ResultStore:
     Loads and saves count into the ambient metrics registry
     (``cache.<kind>.hit`` / ``.miss`` / ``.save``) so a traced run can
     report how much of it was served from cache.  An entry that does not
-    decode (a truncated file) counts as ``.corrupt`` and as a miss, so
-    the caller recomputes and overwrites it.
+    decode — a truncated file, or valid JSON of the wrong shape — counts
+    as ``.corrupt`` and as a miss, so the caller recomputes and
+    overwrites it.
     """
 
     def __init__(self, root: Path | str = DEFAULT_RESULTS_DIR) -> None:
@@ -166,19 +204,37 @@ class ResultStore:
     def _path(self, kind: str, key: str) -> Path:
         return self.root / f"{kind}-{key}.json"
 
-    def load(self, kind: str, key: str) -> dict | None:
+    def load(self, kind: str, key: str) -> Any:
+        """The raw JSON of one entry, or ``None`` when absent or torn.
+
+        Misses are counted here; hits by :meth:`fetch`, once the entry
+        has also decoded.
+        """
         try:
             with self._path(kind, key).open() as fh:
-                data = json.load(fh)
+                return json.load(fh)
         except FileNotFoundError:
             get_metrics().inc(f"cache.{kind}.miss")
             return None
         except ValueError:  # JSONDecodeError, UnicodeDecodeError
-            get_metrics().inc(f"cache.{kind}.corrupt")
-            get_metrics().inc(f"cache.{kind}.miss")
+            return self._corrupt(kind)
+
+    def fetch(self, kind: str, key: str, decode: Callable[[Any], T]) -> T | None:
+        """Load one entry and ``decode`` it; ``None`` on a miss."""
+        data = self.load(kind, key)
+        if data is None:
             return None
+        try:
+            value = decode(data)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return self._corrupt(kind)
         get_metrics().inc(f"cache.{kind}.hit")
-        return data
+        return value
+
+    def _corrupt(self, kind: str) -> None:
+        get_metrics().inc(f"cache.{kind}.corrupt")
+        get_metrics().inc(f"cache.{kind}.miss")
+        return None
 
     def save(self, kind: str, key: str, data: dict) -> None:
         get_metrics().inc(f"cache.{kind}.save")
@@ -238,18 +294,7 @@ class ExperimentContext:
         return self._profile_key("alone", repr(app), n_cores)
 
     def _load_alone(self, key: str) -> AloneProfile | None:
-        cached = self.store.load("alone", key)
-        if cached is None:
-            return None
-        return AloneProfile(
-            abbr=cached["abbr"],
-            best_tlp=cached["best_tlp"],
-            ipc_alone=cached["ipc_alone"],
-            eb_alone=cached["eb_alone"],
-            sweep={
-                int(lv): _sample_from_dict(s) for lv, s in cached["sweep"].items()
-            },
-        )
+        return self.store.fetch("alone", key, _alone_from_dict)
 
     def _save_alone(self, key: str, profile: AloneProfile) -> None:
         self.store.save(
@@ -317,6 +362,7 @@ class ExperimentContext:
                 results = run_jobs(
                     run_sim_job, jobs, n_jobs=self.n_jobs, progress=self.progress
                 )
+            emit_job_events(jobs, results)
             n_levels = len(TLP_LEVELS)
             for slot, i in enumerate(missing):
                 chunk = results[slot * n_levels : (slot + 1) * n_levels]
@@ -335,12 +381,9 @@ class ExperimentContext:
         self, apps: list[AppProfile], core_split: tuple[int, ...] | None = None
     ) -> dict[tuple[int, ...], SimResult]:
         key = self._profile_key("surface", tuple(repr(a) for a in apps), core_split)
-        cached = self.store.load("surface", key)
+        cached = self.store.fetch("surface", key, _surface_from_dict)
         if cached is not None:
-            return {
-                tuple(json.loads(combo)): _result_from_dict(res)
-                for combo, res in cached.items()
-            }
+            return cached
         with get_tracer().span(
             "profile_surface", workload="_".join(a.abbr for a in apps)
         ):
@@ -377,22 +420,7 @@ class ExperimentContext:
         return self._key(*parts, core_split)
 
     def _load_scheme(self, key: str) -> SchemeResult | None:
-        cached = self.store.load("scheme", key)
-        if cached is None:
-            return None
-        return SchemeResult(
-            scheme=cached["scheme"],
-            workload=cached["workload"],
-            combo=tuple(cached["combo"]) if cached["combo"] else None,
-            sds=cached["sds"],
-            ws=cached["ws"],
-            fi=cached["fi"],
-            hs=cached["hs"],
-            ebs=cached["ebs"],
-            ipcs=cached["ipcs"],
-            result=_result_from_dict(cached["result"]),
-            decisions=cached.get("decisions", []),
-        )
+        return self.store.fetch("scheme", key, _scheme_from_dict)
 
     def scheme(
         self,
@@ -400,13 +428,23 @@ class ExperimentContext:
         scheme: str,
         core_split: tuple[int, ...] | None = None,
     ) -> SchemeResult:
+        result = self._scheme(apps, scheme, core_split)
+        # Telemetry replays identically from the cached window and
+        # decision logs: a fully cached run still yields a full trace.
+        emit_scheme_events(result)
+        return result
+
+    def _scheme(
+        self,
+        apps: list[AppProfile],
+        scheme: str,
+        core_split: tuple[int, ...] | None,
+    ) -> SchemeResult:
+        """Load or evaluate (and cache) one scheme; emits no telemetry."""
         name = "_".join(a.abbr for a in apps)
         key = self._scheme_key(apps, scheme, core_split)
         cached = self._load_scheme(key)
         if cached is not None:
-            # Telemetry replays identically from the cached window and
-            # decision logs: a fully cached run still yields a full trace.
-            emit_scheme_events(cached)
             return cached
         alone = self.alone_for(apps)
         needs_surface = scheme.startswith(("bf-", "opt-", "pbs-offline-"))
@@ -439,7 +477,6 @@ class ExperimentContext:
                 "decisions": result.decisions,
             },
         )
-        emit_scheme_events(result)
         return result
 
     def schemes(
@@ -491,10 +528,10 @@ class ExperimentContext:
                     n_jobs=self.n_jobs, progress=self.progress,
                 )
             results.update(zip(missing, computed))
-        # Emit telemetry in the parent process: pool workers and cache
-        # loads both bypass the ambient tracer, but the window/decision
-        # logs ride on every SchemeResult, so replaying them here yields
-        # the same trace regardless of where the evaluation ran.
+        # Emit telemetry here, once per scheme, in the parent: the
+        # window/decision logs ride on every SchemeResult, so replaying
+        # them yields the same trace regardless of where (or whether)
+        # the evaluation ran.
         for s in schemes:
             emit_scheme_events(results[s])
         return {s: results[s] for s in schemes}
@@ -524,5 +561,9 @@ class _SchemeTask:
 
 
 def _run_scheme_task(task: _SchemeTask) -> SchemeResult:
-    """Pool worker: evaluate (and cache) one scheme in a subprocess."""
-    return task.ctx.scheme(list(task.apps), task.scheme, task.core_split)
+    """Pool worker: evaluate (and cache) one scheme.
+
+    Emits no telemetry: :meth:`ExperimentContext.schemes` emits every
+    result once, in the parent, whether it ran serially or pooled.
+    """
+    return task.ctx._scheme(list(task.apps), task.scheme, task.core_split)

@@ -140,8 +140,8 @@ class OpenRunReport:
 
     Carries the same attribute surface as
     :class:`repro.core.runner.SchemeResult` (``result`` / ``workload`` /
-    ``scheme`` / ``decisions``), so the live-telemetry emitters accept
-    it unchanged.
+    ``scheme`` / ``decisions``), so
+    :func:`~repro.core.runner.emit_scheme_events` accepts it unchanged.
     """
 
     scheme: str  # policy name

@@ -9,11 +9,12 @@ outputs — so R004 forbids ``repro.sim`` from importing them (the engine
 reaches observability only through the tracer/metrics seam).
 
 * :mod:`repro.obs.trace` — span/instant/counter events in two clock
-  domains (host wall time, simulated cycles), JSONL serialization.
+  domains (host wall time, simulated cycles), streamed to the run's one
+  JSONL event log.
 * :mod:`repro.obs.metrics` — ambient counters/gauges/timers/timelines,
   with cross-process ``merge()`` for worker snapshots.
-* :mod:`repro.obs.live` — real-time NDJSON telemetry: worker publishers,
-  the parent-side collector, schema validation, profiling frames.
+* :mod:`repro.obs.live` — the live event log: worker publishers, the
+  parent-side hub that logs their messages, profiling frames.
 * :mod:`repro.obs.dashboard` — live TTY dashboard / ``repro watch``.
 * :mod:`repro.obs.bench` — perf-history ledger for ``bench history``.
 * :mod:`repro.obs.chrome` — Chrome trace-event export for Perfetto.
@@ -32,19 +33,12 @@ from repro.obs.chrome import chrome_trace, write_chrome_trace
 from repro.obs.dashboard import Dashboard, LiveState, render_lines, watch
 from repro.obs.io import JsonlAppender, append_jsonl, atomic_write_text, read_jsonl
 from repro.obs.live import (
-    LIVE_SCHEMA,
-    LIVE_SCHEMA_VERSION,
     LiveHub,
     NullPublisher,
     QueuePublisher,
     get_publisher,
-    live_header,
-    load_live,
-    parse_live,
     profile_frames,
-    result_records,
     set_publisher,
-    validate_live_record,
 )
 from repro.obs.manifest import (
     MANIFEST_FILENAME,
@@ -63,6 +57,7 @@ from repro.obs.metrics import (
 from repro.obs.summarize import (
     decision_log,
     job_stats,
+    log_stats,
     resolve_trace_path,
     span_totals,
     summarize,
@@ -90,8 +85,6 @@ __all__ = [
     "Dashboard",
     "Event",
     "JsonlAppender",
-    "LIVE_SCHEMA",
-    "LIVE_SCHEMA_VERSION",
     "LiveHub",
     "LiveState",
     "MANIFEST_FILENAME",
@@ -116,26 +109,22 @@ __all__ = [
     "get_tracer",
     "git_revision",
     "job_stats",
-    "live_header",
+    "log_stats",
     "load_bench_baseline",
     "load_bench_history",
-    "load_live",
     "load_trace",
     "parse_events",
-    "parse_live",
     "profile_frames",
     "read_jsonl",
     "render_bench_history",
     "render_lines",
     "resolve_trace_path",
-    "result_records",
     "set_metrics",
     "set_publisher",
     "set_tracer",
     "span_totals",
     "summarize",
     "summary_data",
-    "validate_live_record",
     "validate_manifest",
     "watch",
     "window_timelines",

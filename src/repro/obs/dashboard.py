@@ -1,14 +1,16 @@
-"""The live TTY dashboard over a :mod:`repro.obs.live` stream.
+"""The live TTY dashboard over a run's event log.
 
-:class:`LiveState` folds stream records into the current picture of a
-sweep — jobs done/failed/active, per-(workload, scheme, app) window
-signals, worker liveness, decision counts.  :class:`Dashboard` renders
-that state: on a terminal as a multi-line panel redrawn in place (ANSI
-cursor-up + erase), elsewhere as plain append-only log lines so piped
-output stays readable.  :func:`watch` tails a ``live.ndjson`` file into
-a dashboard — the implementation of ``repro watch RUN`` — following the
-file until its ``stream_end`` record (the stream is still being written
-by a running sweep) or just replaying it when ``follow=False``.
+:class:`LiveState` folds :class:`~repro.obs.trace.Event` records into
+the current picture of a sweep — jobs done/failed/active, per-(workload,
+scheme, app) window signals, worker liveness, decision and roster-change
+counts.  :class:`Dashboard` renders that state: on a terminal as a
+multi-line panel redrawn in place (ANSI cursor-up + erase), elsewhere as
+plain append-only log lines so piped output stays readable.
+:func:`watch` tails a ``trace.jsonl`` event log into a dashboard — the
+implementation of both ``--watch`` and ``repro watch RUN`` — following
+the file until its closing ``stream_end`` instant (the log is still
+being written by a running sweep) or just replaying it when
+``follow=False``.
 
 Everything takes injectable clocks/streams so tests can drive a fake
 TTY deterministically.
@@ -22,7 +24,7 @@ import time
 from pathlib import Path
 from typing import Callable, TextIO
 
-from repro.obs.live import LIVE_SCHEMA, LIVE_SCHEMA_VERSION
+from repro.obs.trace import Event, parse_events
 
 __all__ = ["Dashboard", "LiveState", "render_lines", "watch"]
 
@@ -33,10 +35,9 @@ _MAX_ACTIVE_ROWS = 4
 
 
 class LiveState:
-    """The current picture of a sweep, folded from stream records."""
+    """The current picture of a sweep, folded from log events."""
 
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self.run_id = ""
         self.total = 0
         self.done = 0
@@ -49,74 +50,81 @@ class LiveState:
         self.ended = False
         #: pid -> job name currently executing there
         self.active: dict[int, str] = {}
-        #: every pid that ever ran a job (worker utilization denominator)
+        #: every pid that ever started a job (worker utilization denominator)
         self.workers: set[int] = set()
-        #: (workload, scheme, app) -> latest window record
-        self.latest_window: dict[tuple[str, str, int], dict] = {}
-        #: most recent decision record, if any
-        self.last_decision: dict | None = None
-        #: most recent tenancy (roster-change) record, if any
-        self.last_tenancy: dict | None = None
+        #: (workload, scheme, app) -> (cycle, latest window counter args)
+        self.latest_window: dict[tuple[str, str, int], tuple[float, dict]] = {}
+        #: most recent decision instant, if any
+        self.last_decision: Event | None = None
+        #: most recent tenancy (roster-change) instant, if any
+        self.last_tenancy: Event | None = None
         self.last_error = ""
-        self._t_first_done: float | None = None
-        self._t_last_done: float | None = None
+        #: wall span (log microseconds) from the first job's start to
+        #: the last job's end: the completion-rate window
+        self._t_first: float | None = None
+        self._t_last: float | None = None
 
-    def apply(self, record: dict) -> None:
-        rtype = record.get("type")
-        if rtype == "batch":
+    def apply(self, event: Event) -> None:
+        cat = event.cat
+        if event.ph == "C":
+            if cat == "window":
+                self._window(event)
+        elif cat == "job":
+            if event.ph == "X":
+                self.done += 1
+                self._finished(event.name)
+                end = event.ts + event.dur
+                if self._t_first is None or event.ts < self._t_first:
+                    self._t_first = event.ts
+                self._t_last = end if self._t_last is None else max(self._t_last, end)
+            elif event.name == "job_start":
+                pid = int(event.args["pid"])
+                self.active[pid] = str(event.args["job"])
+                self.workers.add(pid)
+            elif event.name == "job_fail":
+                self.failed += 1
+                self._finished(str(event.args["job"]))
+                self.last_error = f"{event.args['job']}: {event.args['error']}"
+        elif cat == "exec" and event.name == "batch":
             # Batches accumulate: one CLI run sweeps alone profiles,
             # then a surface, then schemes — ETA covers all of them.
-            self.total += int(record["total"])
+            self.total += int(event.args["total"])
             self.batches += 1
-        elif rtype == "job_start":
-            pid = int(record["pid"])
-            self.active[pid] = str(record["job"])
-            self.workers.add(pid)
-        elif rtype in ("job_done", "job_fail"):
-            pid = int(record["pid"])
-            self.active.pop(pid, None)
-            self.workers.add(pid)
-            if rtype == "job_fail":
-                self.failed += 1
-                self.last_error = f"{record['job']}: {record['error']}"
-            else:
-                self.done += 1
-            mark = self._clock()
-            if self._t_first_done is None:
-                self._t_first_done = mark - float(
-                    record.get("elapsed_s", 0.0) or 0.0
-                )
-            self._t_last_done = mark
-        elif rtype == "window":
-            key = (
-                str(record["workload"]),
-                str(record["scheme"]),
-                int(record["app"]),
-            )
-            self.latest_window[key] = record
-            self.window_count += 1
-        elif rtype == "decision":
+        elif cat in ("pbs", "ctrl"):
             self.decision_count += 1
-            self.last_decision = record
-        elif rtype == "tenancy":
+            self.last_decision = event
+        elif cat == "tenancy":
             self.tenancy_count += 1
-            self.last_tenancy = record
-        elif rtype == "profile":
+            self.last_tenancy = event
+        elif cat == "profile":
             self.profile_count += 1
-        elif rtype == "stream_end":
+        elif event.name == "stream_end":
             self.ended = True
             self.active.clear()
+
+    def _window(self, event: Event) -> None:
+        workload, scheme, app = event.name.split("|")
+        self.latest_window[(workload, scheme, int(app[len("app"):]))] = (
+            event.ts, event.args,
+        )
+        self.window_count += 1
+
+    def _finished(self, job: str) -> None:
+        for pid, name in self.active.items():
+            if name == job:
+                del self.active[pid]
+                return
 
     # -- derived signals --------------------------------------------------
 
     def jobs_per_sec(self) -> float:
-        """Completion rate over the span between first and last job."""
-        if self._t_first_done is None or self._t_last_done is None:
+        """Completion rate over the span from first start to last end."""
+        if self._t_first is None or self._t_last is None:
             return 0.0
-        span = self._t_last_done - self._t_first_done
-        if span <= 0:
+        span_s = (self._t_last - self._t_first) / 1e6
+        if span_s <= 0:
             return 0.0
-        return self.done / span
+        return self.done / span_s
 
     def eta_s(self) -> float | None:
         """Seconds until the sweep finishes, at the current rate."""
@@ -148,9 +156,9 @@ def render_lines(state: LiveState) -> list[str]:
     for pid, job in sorted(state.active.items())[:_MAX_ACTIVE_ROWS]:
         lines.append(f"  run  pid {pid}: {job}")
     series = sorted(state.latest_window.items())
-    for (workload, scheme, app_id), w in series[:_MAX_SERIES_ROWS]:
+    for (workload, scheme, app_id), (cycle, w) in series[:_MAX_SERIES_ROWS]:
         lines.append(
-            f"  {workload} {scheme} app{app_id} @{w['cycle']:>9.0f}  "
+            f"  {workload} {scheme} app{app_id} @{cycle:>9.0f}  "
             f"IPC {w['ipc']:.3f}  EB {w['eb']:.3f}  BW {w['bw']:.3f}  "
             f"CMR {w['cmr']:.3f}"
         )
@@ -158,18 +166,18 @@ def render_lines(state: LiveState) -> list[str]:
         lines.append(f"  ... {len(series) - _MAX_SERIES_ROWS} more series")
     tail = (
         f"  windows {state.window_count}  decisions {state.decision_count}"
-        f"  profiles {state.profile_count}"
+        f"  hot frames {state.profile_count}"
     )
     if state.last_decision is not None:
         d = state.last_decision
-        tail += f"  last {d['scheme']}.{d['kind']} @{d['cycle']:.0f}"
+        tail += f"  last {d.args.get('scheme', '?')}.{d.name.split('.', 1)[-1]} @{d.ts:.0f}"
     lines.append(tail)
     if state.last_tenancy is not None:
         t = state.last_tenancy
-        roster = ",".join(str(a) for a in t.get("roster", []))
+        roster = ",".join(str(a) for a in t.args.get("roster", []))
         lines.append(
-            f"  tenancy x{state.tenancy_count}: {t['event']} app{t['app']}"
-            f" @{t['cycle']:.0f}  roster [{roster}]"
+            f"  tenancy x{state.tenancy_count}: {t.args.get('event', '?')} "
+            f"app{t.args.get('app', '?')} @{t.ts:.0f}  roster [{roster}]"
         )
     if state.last_error:
         lines.append(f"  FAIL {state.last_error:.100s}")
@@ -177,7 +185,7 @@ def render_lines(state: LiveState) -> list[str]:
 
 
 class Dashboard:
-    """Renders a :class:`LiveState` as records arrive.
+    """Renders a :class:`LiveState` as log events arrive.
 
     On a TTY the panel is redrawn in place at most once per
     ``min_interval_s`` (plus always on ``stream_end``); on anything else
@@ -193,7 +201,7 @@ class Dashboard:
         min_interval_s: float = 0.25,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.state = LiveState(clock=clock)
+        self.state = LiveState()
         self.state.run_id = run_id
         self.stream: TextIO = sys.stderr if stream is None else stream
         isatty = getattr(self.stream, "isatty", None)
@@ -204,20 +212,20 @@ class Dashboard:
         self._height = 0
         self.renders = 0
 
-    def on_record(self, record: dict) -> None:
-        """Fold one stream record and redraw if due (the hub callback)."""
-        self.state.apply(record)
+    def on_event(self, event: Event) -> None:
+        """Fold one log event and redraw if due."""
+        self.state.apply(event)
         if self._tty:
             mark = self._clock()
             due = (
                 self._last_render is None
                 or mark - self._last_render >= self.min_interval_s
             )
-            if due or record.get("type") == "stream_end":
+            if due or self.state.ended:
                 self._render()
                 self._last_render = mark
         else:
-            line = self._plain_line(record)
+            line = self._plain_line(event)
             if line:
                 print(line, file=self.stream, flush=True)
 
@@ -234,17 +242,16 @@ class Dashboard:
         self._height = len(lines)
         self.renders += 1
 
-    def _plain_line(self, record: dict) -> str:
-        rtype = record.get("type")
+    def _plain_line(self, event: Event) -> str:
         state = self.state
-        if rtype == "job_done":
+        if event.cat == "job" and event.ph == "X":
             return (
-                f"[{state.done}/{state.total}] {record['job']} "
-                f"({record['elapsed_s']:.1f}s, pid {record['pid']})"
+                f"[{state.done}/{state.total}] {event.name} "
+                f"({event.dur / 1e6:.1f}s, worker {event.args.get('worker', '?')})"
             )
-        if rtype == "job_fail":
-            return f"FAIL {record['job']}: {record['error']}"
-        if rtype == "stream_end":
+        if event.cat == "job" and event.name == "job_fail":
+            return f"FAIL {event.args['job']}: {event.args['error']}"
+        if event.name == "stream_end":
             return (
                 f"stream end: {state.done} done, {state.failed} failed, "
                 f"{state.window_count} windows, "
@@ -264,43 +271,36 @@ def watch(
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
 ) -> LiveState:
-    """Tail a ``live.ndjson`` file into a dashboard; return final state.
+    """Tail a ``trace.jsonl`` event log into a dashboard; return final state.
 
     With ``follow=True`` the file is polled until its ``stream_end``
-    record arrives (or ``timeout_s`` elapses — ``None`` waits forever);
+    instant arrives (or ``timeout_s`` elapses — ``None`` waits forever);
     with ``follow=False`` whatever is on disk is replayed once.  Partial
     trailing lines (the writer mid-append) are retried on the next poll.
+    Every batch of complete lines is validated by
+    :func:`~repro.obs.trace.parse_events` against the log's header.
     """
     path = Path(path)
     dash = Dashboard(stream=stream, run_id=run_id, clock=clock)
     pending = ""
-    header_seen = False
+    header: dict | None = None
     deadline = None if timeout_s is None else clock() + timeout_s
     with path.open("r", encoding="utf-8") as fh:
         while True:
             chunk = fh.read()
             if chunk:
                 pending += chunk
-                while "\n" in pending:
-                    line, pending = pending.split("\n", 1)
-                    if not line.strip():
-                        continue
-                    record = json.loads(line)
-                    if not header_seen:
-                        if record.get("schema") != LIVE_SCHEMA or (
-                            record.get("version") != LIVE_SCHEMA_VERSION
-                        ):
-                            raise ValueError(
-                                f"{path}: not a {LIVE_SCHEMA} "
-                                f"v{LIVE_SCHEMA_VERSION} stream"
-                            )
-                        if not dash.state.run_id:
-                            dash.state.run_id = str(record.get("run_id", ""))
-                        header_seen = True
-                        continue
-                    dash.on_record(record)
-                    if record.get("type") == "stream_end":
-                        return dash.state
+                lines, _, pending = pending.rpartition("\n")
+                records = [json.loads(ln) for ln in lines.split("\n") if ln.strip()]
+                if header is None and records:
+                    header = records.pop(0)
+                    if not dash.state.run_id:
+                        dash.state.run_id = str(header.get("run_id", ""))
+                if header is not None:
+                    for event in parse_events([header, *records])[1]:
+                        dash.on_event(event)
+                        if dash.state.ended:
+                            return dash.state
                 continue
             if not follow:
                 break

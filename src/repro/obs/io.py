@@ -38,24 +38,24 @@ def atomic_write_text(path: Path, text: str) -> None:
 class JsonlAppender:
     """A single-writer, line-at-a-time JSONL sink.
 
-    Streaming sinks (the live NDJSON telemetry feed, the bench-history
-    ledger) cannot use :func:`atomic_write_text` — their value is that a
-    reader can tail the file *while* it grows.  The safety story is
-    different but equally deliberate: exactly one process (and in it,
-    one thread) owns the handle, every record is written as one
-    ``write()`` of a complete line and flushed, so a concurrent reader
-    observes only whole lines (plus at most one partial trailing line,
-    which tail-followers must re-read — :func:`iter_complete_lines`-style
-    consumers in :mod:`repro.obs.dashboard` do).
+    Streaming sinks (a run's event log, the bench-history ledger) cannot
+    use :func:`atomic_write_text` — their value is that a reader can
+    tail the file *while* it grows.  The safety story is different but
+    equally deliberate: exactly one process owns the handle (and
+    serializes its writers), every record is written as one ``write()``
+    of a complete line and flushed, so a concurrent reader observes
+    only whole lines (plus at most one partial trailing line, which
+    tail-followers must re-read — :func:`repro.obs.dashboard.watch`
+    does).  ``mode="w"`` starts the file afresh; the default appends.
 
     This class lives here, next to :func:`atomic_write_text`, so the
     lint rules' write-ownership story stays in one sanctioned module.
     """
 
-    def __init__(self, path: Path) -> None:
+    def __init__(self, path: Path, mode: str = "a") -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("a", encoding="utf-8")
+        self._fh = self.path.open(mode, encoding="utf-8")
         self.count = 0
 
     def append(self, record: dict) -> None:

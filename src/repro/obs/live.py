@@ -1,183 +1,64 @@
-"""Real-time telemetry: streaming worker events to the parent and disk.
+"""Live telemetry: the run's one event log, written as the run goes.
 
-The post-mortem observability stack (:mod:`repro.obs.trace` + manifest)
-answers "what happened" after a run finishes; this module answers "what
-is happening" while a sweep is still going.  The pipeline:
+A traced run has one event log, the JSONL ``trace.jsonl`` of
+:mod:`repro.obs.trace`.  This module makes it *live*:
 
-* **Workers publish.**  A :class:`QueuePublisher` installed in each pool
-  worker (by :func:`repro.exec.pool`'s initializer) pushes small JSON
-  records — job lifecycle, per-window EB/BW/CMR/IPC counters, controller
-  decisions, open-system tenancy changes, profiling frames, metrics
-  snapshots, heartbeats — onto a
-  ``multiprocessing`` queue.  Publishing never blocks simulation: a full
-  queue drops the record and counts the drop.
-* **The parent collects.**  A :class:`LiveHub` owns the queue, drains it
-  on a daemon thread, validates each record against the versioned
-  schema, appends it to ``live.ndjson`` in the trace run directory
-  (single-writer streaming via :class:`repro.obs.io.JsonlAppender`),
-  folds worker ``metrics`` snapshots into the ambient
-  :class:`~repro.obs.metrics.MetricsRegistry` (labelled per worker), and
-  turns ``profile`` records into ``cat="profile"`` tracer instants so
-  hot frames land in the Perfetto export.
-* **Consumers tail.**  The live dashboard (:mod:`repro.obs.dashboard`)
-  consumes the stream in-process through the hub's ``on_record``
-  callback, or out-of-process by tailing ``live.ndjson`` (``repro watch
-  RUN``).
+* **The parent records.**  Everything the parent process knows — host
+  spans, window counters, controller decisions, roster changes, job
+  spans, batch and failure instants — goes straight onto the ambient
+  tracer, which appends each event to the log as it is recorded.
+* **Workers send only what the parent cannot know.**  A
+  :class:`QueuePublisher` installed in each pool worker (by
+  :mod:`repro.exec.pool`'s initializer) puts three kinds of small
+  message on a ``multiprocessing`` queue: ``job_start`` (job, pid),
+  ``profile`` (a cProfile'd job's hot frames) and ``metrics`` (the
+  worker's registry delta).  Publishing never blocks simulation: a
+  full queue drops the message and counts the drop.
+* **The hub turns messages into events.**  A :class:`LiveHub` owns the
+  log's tracer and the queue.  Its collector thread records each
+  ``job_start`` as a ``cat="job"`` instant and each hot frame as a
+  ``cat="profile"`` instant, and folds ``metrics`` into the ambient
+  :class:`~repro.obs.metrics.MetricsRegistry` (they are not logged: the
+  run manifest's snapshot records them).  On the serial executor path
+  the jobs run in the parent, so the hub's own publisher hands their
+  messages to the hub directly: parent-side telemetry never crosses
+  the queue.  ``close()`` appends the closing ``stream_end`` instant.
+* **Readers tail the log.**  The dashboard (``--watch`` and ``repro
+  watch RUN``, :mod:`repro.obs.dashboard`), ``repro trace summarize``
+  and the Chrome export all read the same events.
 
 Like tracing, live telemetry is ambient and opt-in: library code calls
 :func:`get_publisher` and checks ``publisher.enabled`` — the default
 :class:`NullPublisher` makes the disabled path one attribute read, the
-same discipline as :class:`~repro.obs.trace.NullTracer`.  The stream is
-observational only: results are never routed through it, so a published
-run is byte-identical to a silent one.
+same discipline as :class:`~repro.obs.trace.NullTracer`.  Results are
+never routed through telemetry, so a traced run is byte-identical to a
+silent one.
 """
 
 from __future__ import annotations
 
-import os
 import queue as queue_mod
 import threading
-import time
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable
 
-from repro.obs.io import JsonlAppender, read_jsonl
 from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer
+from repro.obs.trace import Tracer
 
 __all__ = [
-    "LIVE_SCHEMA",
-    "LIVE_SCHEMA_VERSION",
-    "LIVE_RECORD_TYPES",
     "LiveHub",
     "NullPublisher",
     "QueuePublisher",
     "get_publisher",
-    "live_header",
-    "load_live",
-    "parse_live",
     "profile_frames",
-    "result_records",
     "set_publisher",
-    "validate_live_record",
 ]
 
-#: Schema identifier written as the first NDJSON line of every stream.
-LIVE_SCHEMA = "repro.obs.live"
-LIVE_SCHEMA_VERSION = 1
-
-#: Required fields (and their types) per record type.  Records may carry
-#: extra fields — the schema pins what consumers can rely on, producers
-#: are free to annotate.  ``t`` (unix wall seconds, stamped by the
-#: publisher) is optional everywhere: replayed or synthetic streams need
-#: not fake clocks.
-_RECORD_FIELDS: dict[str, dict[str, type | tuple[type, ...]]] = {
-    # one sweep batch was submitted to the executor
-    "batch": {"total": int},
-    # job lifecycle, stamped by the process that ran the job
-    "job_start": {"job": str, "pid": int},
-    "job_done": {"job": str, "pid": int, "elapsed_s": (int, float)},
-    "job_fail": {"job": str, "pid": int, "error": str},
-    # one per-app controller-window sample (cycle-stamped)
-    "window": {
-        "workload": str, "scheme": str, "app": int,
-        "cycle": (int, float), "eb": (int, float), "bw": (int, float),
-        "cmr": (int, float), "ipc": (int, float),
-    },
-    # one controller decision (cycle-stamped)
-    "decision": {
-        "workload": str, "scheme": str, "kind": str, "cycle": (int, float),
-    },
-    # one roster change of an open-system run (cycle-stamped); carries
-    # the post-change roster so consumers need no event replay
-    "tenancy": {
-        "workload": str, "scheme": str, "event": str, "app": int,
-        "cycle": (int, float), "roster": list,
-    },
-    # liveness signal, throttled to the publisher's heartbeat interval
-    "heartbeat": {"pid": int},
-    # top-N hot frames of one cProfile'd job:
-    # ``[[label, cum_s, self_s, calls], ...]``
-    "profile": {"job": str, "pid": int, "frames": list},
-    # a worker registry snapshot (delta since its last publish)
-    "metrics": {"label": str, "snapshot": dict},
-    # written by the hub as the final record of a closed stream
-    "stream_end": {"records": int},
-}
-
-LIVE_RECORD_TYPES = frozenset(_RECORD_FIELDS)
-
-#: Internal shutdown sentinel the hub sends itself; never hits disk.
+#: Internal shutdown sentinel the hub sends itself; never logged.
 _CLOSE_TYPE = "__close__"
 
 
-def live_header(run_id: str) -> dict:
-    """The schema header record of one live stream."""
-    return {
-        "schema": LIVE_SCHEMA,
-        "version": LIVE_SCHEMA_VERSION,
-        "run_id": run_id,
-    }
-
-
-def validate_live_record(record: dict) -> list[str]:
-    """Problems with one stream record ([] = valid)."""
-    rtype = record.get("type")
-    if not isinstance(rtype, str) or rtype not in _RECORD_FIELDS:
-        return [f"unknown record type {rtype!r}"]
-    problems = []
-    for name, types in _RECORD_FIELDS[rtype].items():
-        if name not in record:
-            problems.append(f"{rtype}: missing field {name!r}")
-        elif not isinstance(record[name], types) or isinstance(
-            record[name], bool
-        ):
-            problems.append(
-                f"{rtype}: field {name!r} has type "
-                f"{type(record[name]).__name__}"
-            )
-    return problems
-
-
-def parse_live(records: list[dict]) -> tuple[dict, list[dict]]:
-    """Split parsed NDJSON into (header, records), validating both."""
-    if not records:
-        raise ValueError("empty live stream: missing schema header")
-    header = records[0]
-    if header.get("schema") != LIVE_SCHEMA:
-        raise ValueError(
-            f"not a repro.obs live stream "
-            f"(header schema {header.get('schema')!r})"
-        )
-    if header.get("version") != LIVE_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported live-stream version {header.get('version')!r} "
-            f"(expected {LIVE_SCHEMA_VERSION})"
-        )
-    for i, record in enumerate(records[1:], start=2):
-        problems = validate_live_record(record)
-        if problems:
-            raise ValueError(f"live stream line {i}: {'; '.join(problems)}")
-    return header, records[1:]
-
-
-def load_live(path: Path) -> tuple[dict, list[dict]]:
-    """Read and validate a ``live.ndjson`` file."""
-    return parse_live(read_jsonl(Path(path)))
-
-
 # --- publishers ---------------------------------------------------------
-
-
-class Publisher(Protocol):  # pragma: no cover - typing aid only
-    enabled: bool
-    worker: bool
-    profile: bool
-    window_cap: int
-    profile_top: int
-
-    def publish(self, record: dict) -> None: ...
-    def heartbeat(self) -> None: ...
 
 
 class NullPublisher:
@@ -191,83 +72,56 @@ class NullPublisher:
     enabled = False
     worker = False
     profile = False
-    window_cap = 0
     profile_top = 0
 
     def publish(self, record: dict) -> None:
         return None
 
-    def heartbeat(self) -> None:
-        return None
-
 
 class QueuePublisher:
-    """Publishes stream records onto a (multiprocessing) queue.
+    """Sends a pool worker's messages to the parent's :class:`LiveHub`.
 
-    One instance lives in each pool worker (``worker=True``, installed
-    by the pool initializer) and one in the parent (``worker=False``,
-    owned by the :class:`LiveHub`) so the serial executor path streams
-    through the same transport.  Throttling is the publisher's job:
-
-    * ``publish`` never blocks — a full queue drops the record (counted
-      in ``dropped``; telemetry loss must never slow simulation);
-    * ``heartbeat`` emits at most one record per ``heartbeat_s`` of wall
-      time;
-    * window records are stride-capped to ``window_cap`` samples per
-      job by :func:`result_records`.
+    ``publish`` never blocks — a full queue drops the message, counted
+    in ``dropped``: telemetry loss must never slow simulation.
     """
 
     enabled = True
+    worker = True
 
     def __init__(
         self,
         channel: "queue_mod.Queue[dict]",
         *,
-        worker: bool = True,
         profile: bool = False,
-        heartbeat_s: float = 1.0,
-        window_cap: int = 64,
         profile_top: int = 10,
     ) -> None:
         self.channel = channel
-        self.worker = worker
         self.profile = profile
-        self.heartbeat_s = heartbeat_s
-        self.window_cap = window_cap
         self.profile_top = profile_top
-        self.sent = 0
         self.dropped = 0
-        self._last_heartbeat: float | None = None
 
     def worker_config(self) -> dict:
-        """The throttle/profiling knobs to replicate in pool workers."""
-        return {
-            "profile": self.profile,
-            "heartbeat_s": self.heartbeat_s,
-            "window_cap": self.window_cap,
-            "profile_top": self.profile_top,
-        }
+        """The profiling knobs to replicate in pool workers."""
+        return {"profile": self.profile, "profile_top": self.profile_top}
 
     def publish(self, record: dict) -> None:
-        record.setdefault("t", round(time.time(), 3))
         try:
             self.channel.put_nowait(record)
         except queue_mod.Full:
             self.dropped += 1
-        else:
-            self.sent += 1
 
-    def heartbeat(self) -> None:
-        mark = time.monotonic()
-        if (
-            self._last_heartbeat is not None
-            and mark - self._last_heartbeat < self.heartbeat_s
-        ):
-            return
-        self._last_heartbeat = mark
-        self.publish(
-            {"type": "heartbeat", "pid": os.getpid(), "sent": self.sent}
-        )
+
+class _HubPublisher(QueuePublisher):
+    """The parent's publisher: serial-path messages go to the hub directly."""
+
+    worker = False
+
+    def __init__(self, hub: "LiveHub", *, profile: bool, profile_top: int) -> None:
+        super().__init__(hub.queue, profile=profile, profile_top=profile_top)
+        self._hub = hub
+
+    def publish(self, record: dict) -> None:
+        self._hub._handle(record)
 
 
 _NULL_PUBLISHER = NullPublisher()
@@ -287,7 +141,7 @@ def set_publisher(
     ``None`` disables (installs the shared :class:`NullPublisher`).
     Unlike ``set_tracer``/``set_metrics``, installing a publisher inside
     a pool worker is the *sanctioned* pattern — the whole point of a
-    :class:`QueuePublisher` is that its records cross the process
+    :class:`QueuePublisher` is that its messages cross the process
     boundary back to the parent.
     """
     global _PUBLISHER
@@ -296,94 +150,12 @@ def set_publisher(
     return previous
 
 
-# --- record builders ----------------------------------------------------
-
-
-def result_records(
-    value: object, tag: tuple | None = None, *, window_cap: int = 64
-) -> list[dict]:
-    """Window/decision stream records from one simulation product.
-
-    Duck-typed so this leaf module never imports the simulator: a
-    ``SchemeResult`` (has ``.result`` with ``.windows``, plus
-    ``.workload``/``.scheme``/``.decisions``) yields labelled window and
-    decision records; a bare ``SimResult`` (has ``.windows``) labels its
-    windows from the job ``tag`` (e.g. ``("alone", "BLK", 8)`` or
-    ``("surface", "BLK_TRD", combo)``).  Anything else yields nothing.
-
-    Windows are stride-sampled down to at most ~``window_cap`` per app
-    (the last window always included) so a long dynamic run does not
-    flood the queue; ``window_cap <= 0`` disables the cap.
-    """
-    inner = getattr(value, "result", None)
-    if inner is not None and hasattr(inner, "windows"):
-        result = inner
-        workload = str(getattr(value, "workload", "?"))
-        scheme = str(getattr(value, "scheme", "?"))
-        decisions = list(getattr(value, "decisions", ()) or ())
-    elif hasattr(value, "windows"):
-        result = value
-        parts = tuple(tag) if isinstance(tag, tuple) else ()
-        scheme = str(parts[0]) if parts else "run"
-        workload = str(parts[1]) if len(parts) > 1 else "?"
-        decisions = []
-    else:
-        return []
-
-    records: list[dict] = []
-    windows = list(result.windows)
-    stride = 1
-    if window_cap > 0 and len(windows) > window_cap:
-        stride = -(-len(windows) // window_cap)  # ceil division
-    last = len(windows) - 1
-    for idx, (t_cycles, samples) in enumerate(windows):
-        if idx % stride and idx != last:
-            continue
-        for app_id in sorted(samples):
-            s = samples[app_id]
-            records.append({
-                "type": "window",
-                "workload": workload,
-                "scheme": scheme,
-                "app": app_id,
-                "cycle": t_cycles,
-                "eb": s.eb,
-                "bw": s.bw,
-                "cmr": s.cmr,
-                "ipc": s.ipc,
-            })
-    for d in decisions:
-        records.append({
-            "type": "decision",
-            "workload": workload,
-            "scheme": scheme,
-            "kind": str(d.get("kind", "?")),
-            "cycle": float(d.get("cycle", 0.0)),
-            # A roster-change research carries why it restarted; the
-            # dashboard distinguishes it from drift re-searches.
-            **({"reason": str(d["reason"])} if "reason" in d else {}),
-        })
-    for rec in getattr(result, "roster", None) or ():
-        records.append({
-            "type": "tenancy",
-            "workload": workload,
-            "scheme": scheme,
-            "event": str(rec.get("event", "?")),
-            "app": int(rec.get("app", -1)),
-            "cycle": float(rec.get("cycle", 0.0)),
-            "roster": list(rec.get("roster", [])),
-            "abbr": str(rec.get("abbr", "?")),
-            "cores": list(rec.get("cores", [])),
-        })
-    return records
-
-
 def profile_frames(prof: object, top: int = 10) -> list[list]:
     """Top-``top`` hot frames of a finished cProfile run.
 
     Returns ``[[label, cum_s, self_s, calls], ...]`` sorted by
-    cumulative time — the payload of a ``profile`` stream record, and
-    what the hub folds into the Perfetto export as instant events.
+    cumulative time — the payload of a ``profile`` message, which the
+    hub logs as one ``cat="profile"`` instant per frame.
     """
     import pstats
 
@@ -407,14 +179,18 @@ def profile_frames(prof: object, top: int = 10) -> list[list]:
 
 
 class LiveHub:
-    """Parent-side owner of one live-telemetry stream.
+    """Parent-side owner of one run's live event log.
 
-    Creates the multiprocessing queue, starts the collector thread,
-    writes the schema header, and exposes ``publisher`` — the parent's
-    own :class:`QueuePublisher` (``worker=False``) to install as the
-    ambient publisher so the serial executor path and batch records flow
-    through the same stream.  ``close()`` stops the collector, appends
-    the ``stream_end`` record, and releases the sink; it is idempotent.
+    Opens the log at ``path`` — ``tracer``, a path-backed
+    :class:`~repro.obs.trace.Tracer` to install as the ambient one —
+    creates the queue pool workers send their messages on, and starts
+    the collector thread that turns those messages into events.
+    ``publisher`` is the parent's own publisher, to install as the
+    ambient one: pool workers are configured from it, and serial-path
+    jobs hand it their messages.  ``on_record`` is called with every
+    message once it is logged.  ``close()`` stops the collector,
+    appends the closing ``stream_end`` instant and closes the log; it
+    is idempotent.
     """
 
     def __init__(
@@ -423,31 +199,25 @@ class LiveHub:
         path: Path,
         *,
         profile: bool = False,
-        on_record: Callable[[dict], None] | None = None,
-        heartbeat_s: float = 1.0,
-        window_cap: int = 64,
         profile_top: int = 10,
+        on_record: Callable[[dict], None] | None = None,
     ) -> None:
         import multiprocessing
 
         self.run_id = run_id
         self.path = Path(path)
+        self.tracer = Tracer(run_id, self.path)
         self.queue: "queue_mod.Queue[dict]" = (
             multiprocessing.get_context().Queue()
         )
-        self.publisher = QueuePublisher(
-            self.queue,
-            worker=False,
-            profile=profile,
-            heartbeat_s=heartbeat_s,
-            window_cap=window_cap,
-            profile_top=profile_top,
+        self.publisher = _HubPublisher(
+            self, profile=profile, profile_top=profile_top
         )
         self._on_record = on_record
-        self._sink = JsonlAppender(self.path)
-        self._sink.append(live_header(run_id))
+        self._lock = threading.Lock()
+        #: messages logged, and messages received but not usable
         self.records = 0
-        self.invalid = 0
+        self.dropped = 0
         self.callback_errors = 0
         self._closed = False
         self._thread = threading.Thread(
@@ -455,76 +225,64 @@ class LiveHub:
         )
         self._thread.start()
 
-    # -- collector thread ------------------------------------------------
-
     def _drain(self) -> None:
         while True:
-            try:
-                record = self.queue.get(timeout=0.2)
-            except queue_mod.Empty:
-                continue
+            record = self.queue.get()
             if record.get("type") == _CLOSE_TYPE:
                 return
             self._handle(record)
 
     def _handle(self, record: dict) -> None:
-        if validate_live_record(record):
-            self.invalid += 1
-            return
-        self.records += 1
-        rtype = record["type"]
-        if rtype == "metrics":
-            # Worker deltas fold into the parent's ambient registry;
-            # gauges are namespaced by the worker label so two workers
-            # never clobber each other.
-            get_metrics().merge(record["snapshot"], label=record["label"])
-        elif rtype == "profile":
-            tracer = get_tracer()
-            if tracer.enabled:
-                for frame in record["frames"]:
-                    label, cum_s, self_s, n_calls = (list(frame) + [0] * 4)[:4]
-                    tracer.instant(
-                        f"hot:{label}",
-                        cat="profile",
-                        job=record["job"],
-                        pid=record["pid"],
-                        cum_s=cum_s,
-                        self_s=self_s,
-                        calls=n_calls,
-                    )
-        self._sink.append(record)
+        with self._lock:
+            try:
+                self._log(record)
+            except (KeyError, TypeError, ValueError):
+                self.dropped += 1
+                return
+            self.records += 1
         if self._on_record is not None:
             try:
                 self._on_record(record)
             except Exception:
-                # A dashboard bug must never kill telemetry collection.
+                # A consumer bug must never kill telemetry collection.
                 self.callback_errors += 1
 
-    # -- lifecycle --------------------------------------------------------
+    def _log(self, record: dict) -> None:
+        rtype = record["type"]
+        if rtype == "job_start":
+            self.tracer.instant(
+                "job_start", cat="job", job=record["job"], pid=record["pid"]
+            )
+        elif rtype == "profile":
+            for label, cum_s, self_s, calls in record["frames"]:
+                self.tracer.instant(
+                    f"hot:{label}",
+                    cat="profile",
+                    job=record["job"],
+                    pid=record["pid"],
+                    cum_s=cum_s,
+                    self_s=self_s,
+                    calls=calls,
+                )
+        elif rtype == "metrics":
+            # Worker deltas fold into the parent's ambient registry;
+            # gauges are namespaced by the worker label so two workers
+            # never clobber each other.
+            get_metrics().merge(record["snapshot"], label=record["label"])
+        else:
+            raise ValueError(f"unknown message type {rtype!r}")
 
     def close(self) -> Path:
-        """Stop collecting, seal the stream, and return its path."""
+        """Stop collecting, seal the log, and return its path."""
         if self._closed:
             return self.path
         self._closed = True
         self.queue.put({"type": _CLOSE_TYPE})
         self._thread.join(timeout=10)
-        end = {
-            "type": "stream_end",
-            "records": self.records,
-            "invalid": self.invalid,
-            "dropped": self.publisher.dropped,
-            "t": round(time.time(), 3),
-        }
-        # The collector thread has exited: the single-writer handoff to
-        # this thread is sequential, so the sink stays single-writer.
-        self._sink.append(end)
-        self._sink.close()
-        if self._on_record is not None:
-            try:
-                self._on_record(end)
-            except Exception:
-                self.callback_errors += 1
+        self.tracer.instant(
+            "stream_end", cat="log", records=self.records, dropped=self.dropped
+        )
+        self.tracer.close()
         self.queue.close()
         return self.path
 

@@ -1,10 +1,10 @@
 """Offline trace analysis: ``repro trace summarize <run>``.
 
-Reads a run directory (manifest + JSONL trace) and reconstructs the
-run's story: per-phase wall timings, sweep-job cost distribution,
-per-application EB/BW/CMR window timelines, and the PBS decision log
-(every sampled TLP pair with its objective, and the steps it took to
-converge).
+Reads a run directory (manifest + the JSONL event log) and reconstructs
+the run's story: per-phase wall timings, sweep-job cost distribution,
+per-application EB/BW/CMR window timelines, the PBS decision log (every
+sampled TLP pair with its objective, and the steps it took to
+converge), and what the log holds, roster changes included.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ __all__ = [
     "decision_log",
     "engine_counters",
     "job_stats",
-    "live_stream_stats",
+    "log_stats",
     "resolve_trace_path",
     "span_totals",
     "summarize",
@@ -164,36 +164,22 @@ def engine_counters(metrics: dict | None) -> dict:
     return out
 
 
-def live_stream_stats(run_dir: Path) -> dict | None:
-    """Record-type counts for the run's ``live.ndjson``, if it has one.
+def log_stats(events: list[Event]) -> dict:
+    """What the event log holds: ``{"counts": {cat: n}, "closed", "dropped"}``.
 
-    Returns ``None`` when the run was not live-streamed; otherwise
-    ``{"records", "types": {type: count}, "dropped", "invalid"}`` (the
-    last two from the ``stream_end`` trailer when present).
+    ``closed`` says whether the log ends with the hub's ``stream_end``
+    instant, whose ``dropped`` count it reports (0 when still open).
     """
-    path = Path(run_dir) / "live.ndjson"
-    if not path.is_file():
-        return None
-    from repro.obs.live import load_live
-
-    try:
-        _header, records = load_live(path)
-    except (ValueError, OSError):
-        return {"records": 0, "types": {}, "dropped": 0, "invalid": -1}
-    types: dict[str, int] = {}
-    dropped = 0
-    invalid = 0
-    for record in records:
-        rtype = str(record.get("type", "?"))
-        types[rtype] = types.get(rtype, 0) + 1
-        if rtype == "stream_end":
-            dropped = int(record.get("dropped", 0))
-            invalid = int(record.get("invalid", 0))
+    counts: dict[str, int] = {}
+    end: Event | None = None
+    for e in events:
+        counts[e.cat] = counts.get(e.cat, 0) + 1
+        if e.name == "stream_end":
+            end = e
     return {
-        "records": len(records),
-        "types": dict(sorted(types.items())),
-        "dropped": dropped,
-        "invalid": invalid,
+        "counts": dict(sorted(counts.items())),
+        "closed": end is not None,
+        "dropped": int(end.args.get("dropped", 0)) if end is not None else 0,
     }
 
 
@@ -203,7 +189,7 @@ def summary_data(target: str | Path, root: Path | None = None) -> dict:
     Mirrors every section of the text renderer — manifest (plus its
     validation problems), phase totals, sweep-job stats, window-timeline
     aggregates, decision counts, engine self-profiling counters, and
-    live-stream record counts — keyed stably so CI can assert on it
+    per-category event counts — keyed stably so CI can assert on it
     instead of scraping the human output.
     """
     trace_path = resolve_trace_path(target, root=root)
@@ -257,7 +243,7 @@ def summary_data(target: str | Path, root: Path | None = None) -> dict:
         "window_timelines": timelines,
         "decisions": decisions,
         "engine": engine_counters((manifest or {}).get("metrics")),
-        "live": live_stream_stats(run_dir),
+        "log": log_stats(events),
     }
 
 
@@ -455,14 +441,11 @@ def summarize(target: str | Path, root: Path | None = None) -> str:
         for name, value in engine["gauges"].items():
             lines.append(f"  {name:<36} {value:>14,.0f}  (high water)")
 
-    live = live_stream_stats(trace_path.parent)
-    if live is not None:
-        lines.append("")
-        lines.append("== live stream ==")
-        type_s = ", ".join(f"{k}={n}" for k, n in live["types"].items())
-        lines.append(
-            f"  {live['records']} records ({type_s or 'none'})  "
-            f"dropped={live['dropped']}  invalid={live['invalid']}"
-        )
+    log = log_stats(events)
+    lines.append("")
+    lines.append("== event log ==")
+    count_s = ", ".join(f"{k}={n}" for k, n in log["counts"].items())
+    state = f"closed, dropped={log['dropped']}" if log["closed"] else "open"
+    lines.append(f"  {len(events)} events ({count_s or 'none'})  {state}")
 
     return "\n".join(lines)

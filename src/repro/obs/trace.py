@@ -13,9 +13,12 @@ The span hierarchy mirrors the execution structure::
 
     run -> experiment/phase -> scheme -> window -> job
 
-Events serialize to JSONL (one object per line, a schema header first)
-and export to the Chrome trace-event format (:mod:`repro.obs.chrome`)
-so a run opens directly in Perfetto.
+A tracer given a ``path`` is the run's one event log: the schema header
+goes out at creation and every event is appended as one complete,
+flushed JSONL line the moment it is recorded, so ``repro watch`` can
+tail the log while the run is still going.  The log exports to the
+Chrome trace-event format (:mod:`repro.obs.chrome`) so a run opens
+directly in Perfetto.
 
 Tracing is opt-in and ambient: library code calls :func:`get_tracer`,
 which returns a shared :class:`NullTracer` unless a real tracer was
@@ -26,14 +29,16 @@ disabled path costs one attribute read.
 
 from __future__ import annotations
 
-import json
+import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Number
 from pathlib import Path
 from typing import Iterator
 
-from repro.obs.io import atomic_write_text, read_jsonl
+from repro.obs.io import JsonlAppender, read_jsonl
 from repro.units import TraceTicks, WallMicroseconds, WallSeconds
 
 __all__ = [
@@ -53,7 +58,7 @@ __all__ = [
 
 #: Schema identifier written as the first JSONL line of every trace.
 TRACE_SCHEMA = "repro.obs.trace"
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 CLOCK_WALL = "wall"
 CLOCK_CYCLES = "cycles"
@@ -117,15 +122,44 @@ class Tracer:
     Wall-clock spans are measured with ``time.perf_counter`` *inside
     this module* — callers in the simulation layers never read the
     clock themselves, which keeps them R001-clean.
+
+    With a ``path`` the tracer also streams every event to that JSONL
+    log as it is recorded.  Events may come from several threads (the
+    live hub's collector records worker messages); one lock keeps the
+    in-memory list and the log in the same order and the lines whole.
+    A forked pool worker inherits a copy of the ambient tracer: only
+    the process that created the tracer records, so a child never
+    writes into the parent's log or waits on a lock copied mid-write.
     """
 
     enabled = True
 
-    def __init__(self, run_id: str = "run") -> None:
+    def __init__(self, run_id: str = "run", path: Path | None = None) -> None:
         self.run_id = run_id
         self.events: list[Event] = []
         self._origin: WallSeconds = time.perf_counter()
         self._depth = 0
+        self._pid = os.getpid()
+        self._lock = threading.Lock()
+        self._sink: JsonlAppender | None = None
+        if path is not None:
+            self._sink = JsonlAppender(Path(path), mode="w")
+            self._sink.append(self.header())
+
+    def _record(self, event: Event) -> None:
+        if os.getpid() != self._pid:
+            return
+        with self._lock:
+            self.events.append(event)
+            if self._sink is not None:
+                self._sink.append(event.to_dict())
+
+    def close(self) -> None:
+        """Stop streaming to the log (recording in memory continues)."""
+        with self._lock:
+            if self._sink is not None:
+                self._sink.close()
+                self._sink = None
 
     # --- clocks --------------------------------------------------------
 
@@ -149,7 +183,7 @@ class Tracer:
             yield
         finally:
             self._depth = depth
-            self.events.append(
+            self._record(
                 Event(
                     name=name,
                     cat=cat,
@@ -174,7 +208,7 @@ class Tracer:
         **args: object,
     ) -> None:
         """Record a pre-stamped span (e.g. a pool job timed elsewhere)."""
-        self.events.append(
+        self._record(
             Event(name=name, cat=cat, ph="X", ts=ts, clock=clock,
                   dur=dur, tid=tid, args=dict(args))
         )
@@ -189,7 +223,7 @@ class Tracer:
         **args: object,
     ) -> None:
         """Record a point event (wall-stamped unless ``ts`` is given)."""
-        self.events.append(
+        self._record(
             Event(
                 name=name,
                 cat=cat,
@@ -210,28 +244,18 @@ class Tracer:
         clock: str = CLOCK_CYCLES,
     ) -> None:
         """Record one sample of a (multi-)series counter."""
-        self.events.append(
+        self._record(
             Event(name=name, cat=cat, ph="C", ts=ts, clock=clock,
                   args=dict(values))
         )
 
-    # --- serialization -------------------------------------------------
-
     def header(self) -> dict:
+        """The schema header: the first line of the event log."""
         return {
             "schema": TRACE_SCHEMA,
             "version": TRACE_SCHEMA_VERSION,
             "run_id": self.run_id,
         }
-
-    def to_jsonl(self) -> str:
-        lines = [json.dumps(self.header())]
-        lines.extend(json.dumps(e.to_dict()) for e in self.events)
-        return "\n".join(lines) + "\n"
-
-    def write(self, path: Path) -> None:
-        """Atomically publish the trace as JSONL at ``path``."""
-        atomic_write_text(Path(path), self.to_jsonl())
 
     # --- aggregation ---------------------------------------------------
 
@@ -345,6 +369,13 @@ def parse_events(records: list[dict]) -> tuple[dict, list[Event]]:
             raise ValueError(f"trace line {i}: unknown phase {event.ph!r}")
         if event.clock not in (CLOCK_WALL, CLOCK_CYCLES):
             raise ValueError(f"trace line {i}: unknown clock {event.clock!r}")
+        for name in ("ts", "dur"):
+            value = getattr(event, name)
+            # bool subclasses int; a ts of True is a producer bug
+            if not isinstance(value, Number) or isinstance(value, bool):
+                raise ValueError(f"trace line {i}: {name} is not a number")
+        if not isinstance(event.args, dict):
+            raise ValueError(f"trace line {i}: args is not an object")
         events.append(event)
     return header, events
 

@@ -91,7 +91,7 @@ class DRAMChannel:
     """One GDDR5 channel: banks + row buffers + FR-FCFS scheduler."""
 
     __slots__ = (
-        "channel_id", "timings", "addr_map", "frfcfs_cap", "capacity",
+        "channel_id", "frfcfs_cap", "capacity",
         "_events", "_schedule_event", "on_dequeue", "_banks",
         "_group_col_free", "queue", "bus_free", "last_activate",
         "_deciding", "_hit_streak", "busy_cycles", "_decide_event",
@@ -107,8 +107,6 @@ class DRAMChannel:
         events: "EventQueue",
     ) -> None:
         self.channel_id = channel_id
-        self.timings = config.dram
-        self.addr_map = addr_map
         self.frfcfs_cap = config.frfcfs_cap
         self.capacity = config.dram_queue_depth
         #: the owning event queue; the scheduler pushes straight into its
@@ -118,7 +116,7 @@ class DRAMChannel:
         self._events = events
         self._schedule_event = events.push
         # Timing scalars, flattened off the config once (the attribute
-        # chain through ``self.timings`` is per-decision cost otherwise).
+        # chain through ``config.dram`` is per-decision cost otherwise).
         t = config.dram
         self._t_ccd: Cycles = t.t_ccd
         self._t_cl: Cycles = t.t_cl

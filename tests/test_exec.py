@@ -206,6 +206,30 @@ class TestJobTraceEvents:
         run_jobs(_square, range(3), n_jobs=1)  # must not raise or record
 
 
+class TestSimClockEvents:
+    """A run's sim-clock events do not depend on where or whether it ran."""
+
+    SCHEMES = ("besttlp", "dyncta", "pbs-ws", "opt-ws")
+
+    def _traced(self, store_root, n_jobs: int) -> list[dict]:
+        from repro.obs import CLOCK_CYCLES, Tracer, tracing
+
+        ctx = ExperimentContext(
+            config=small_config(), lengths=RunLengths.quick(), seed=7,
+            store=ResultStore(store_root), n_jobs=n_jobs,
+        )
+        tracer = Tracer("t")
+        with tracing(tracer):
+            ctx.schemes([app_by_abbr("BLK"), app_by_abbr("TRD")], self.SCHEMES)
+        return [e.to_dict() for e in tracer.events if e.clock == CLOCK_CYCLES]
+
+    def test_serial_pooled_and_warm_store_runs_agree(self, tmp_path):
+        serial = self._traced(tmp_path / "a", n_jobs=1)
+        assert {e["cat"] for e in serial} == {"window", "ctrl", "pbs"}
+        assert self._traced(tmp_path / "b", n_jobs=2) == serial
+        assert self._traced(tmp_path / "a", n_jobs=2) == serial  # warm
+
+
 # --- parallel-vs-serial determinism -------------------------------------------
 
 LEVELS = (1, 4, 16)  # a sub-lattice keeps the determinism tests fast

@@ -62,6 +62,35 @@ class TestAloneCaching:
         assert "cache.alone.hit" not in registry.counters
         assert entry.read_text() == text, "the recomputed entry overwrote it"
 
+    @pytest.mark.parametrize("kind", ["scheme", "alone", "surface"])
+    def test_wrong_shape_entry_is_recomputed(self, ctx, tmp_path, kind):
+        """Valid JSON missing its keys is corrupt: a miss, not a hit."""
+        apps = [app_by_abbr("BLK"), app_by_abbr("TRD")]
+        products = {
+            "scheme": lambda c: c.scheme(apps, "opt-ws"),
+            "alone": lambda c: c.alone(apps[0]),
+            "surface": lambda c: c.surface(apps),
+        }
+        products["scheme"](ctx)  # simulates and caches all three kinds
+        first = products[kind](ctx)
+        (entry,) = [
+            e for e in tmp_path.glob(f"{kind}-*.json")
+            if kind != "alone" or '"BLK"' in e.read_text()
+        ]
+        text = entry.read_text()
+        entry.write_text("{}" if kind != "surface" else "[]")
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            again = products[kind](ctx)
+        finally:
+            set_metrics(previous)
+        assert again == first
+        assert registry.counters[f"cache.{kind}.corrupt"] == 1
+        assert registry.counters[f"cache.{kind}.miss"] == 1
+        assert f"cache.{kind}.hit" not in registry.counters
+        assert entry.read_text() == text, "the recomputed entry overwrote it"
+
     def test_different_seed_different_key(self, tmp_path):
         a = ExperimentContext(small_config(), RunLengths.quick(), seed=1,
                               store=ResultStore(tmp_path))

@@ -1,12 +1,13 @@
-"""Tests for the live-telemetry pipeline: repro.obs.live + dashboard.
+"""Tests for live telemetry: the one event log, written as the run goes.
 
-Covers the stream schema, the publisher discipline (NullPublisher is
-one attribute read; QueuePublisher never blocks), the parent-side
-LiveHub collector (NDJSON sink, metrics folding, profile-to-tracer),
-the dashboard state machine and its TTY/non-TTY renderers, the watch
-file tailer, the bench-history ledger, the profiled-run Chrome routing,
-and the invariant everything hangs on: telemetry on or off, simulation
-results are identical.
+Covers the log's schema (every live record type has its event form),
+the publisher discipline (NullPublisher is one attribute read;
+QueuePublisher never blocks; the parent's messages never cross the
+queue), the LiveHub that turns worker messages into log events, the
+result-to-events seam, the dashboard state machine and its TTY/non-TTY
+renderers, the watch log tailer, the bench-history ledger, the
+profiled-run Chrome routing, and the invariant everything hangs on:
+telemetry on or off, simulation results are identical.
 """
 
 from __future__ import annotations
@@ -20,11 +21,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs import (
+    CLOCK_CYCLES,
     Event,
     MetricsRegistry,
+    TRACE_SCHEMA,
     Tracer,
     chrome_trace,
-    get_metrics,
+    load_trace,
+    parse_events,
     set_metrics,
     tracing,
 )
@@ -38,20 +42,12 @@ from repro.obs.bench import (
 from repro.obs.dashboard import Dashboard, LiveState, render_lines, watch
 from repro.obs.io import JsonlAppender
 from repro.obs.live import (
-    LIVE_RECORD_TYPES,
-    LIVE_SCHEMA,
-    LIVE_SCHEMA_VERSION,
     LiveHub,
     NullPublisher,
     QueuePublisher,
     get_publisher,
-    live_header,
-    load_live,
-    parse_live,
     profile_frames,
-    result_records,
     set_publisher,
-    validate_live_record,
 )
 
 
@@ -84,29 +80,55 @@ def fresh_metrics():
         set_metrics(previous)
 
 
-def _valid_records() -> list[dict]:
-    """One valid instance of every stream record type."""
-    return [
-        {"type": "batch", "total": 8},
-        {"type": "job_start", "job": "scheme BLK_TRD pbs-ws", "pid": 11},
-        {"type": "job_done", "job": "scheme BLK_TRD pbs-ws", "pid": 11,
-         "elapsed_s": 0.25},
-        {"type": "job_fail", "job": "alone BLK 8", "pid": 12,
-         "error": "ValueError: boom"},
-        {"type": "window", "workload": "BLK_TRD", "scheme": "pbs-ws",
-         "app": 0, "cycle": 800.0, "eb": 0.4, "bw": 0.3, "cmr": 0.75,
-         "ipc": 1.5},
-        {"type": "decision", "workload": "BLK_TRD", "scheme": "pbs-ws",
-         "kind": "sample", "cycle": 800.0},
-        {"type": "tenancy", "workload": "two-phase", "scheme": "pbs-ws",
-         "event": "attach", "app": 2, "cycle": 29500.0, "roster": [0, 1, 2]},
-        {"type": "heartbeat", "pid": 11},
-        {"type": "profile", "job": "alone BLK 8", "pid": 11,
-         "frames": [["run (engine.py:1)", 0.5, 0.1, 42]]},
-        {"type": "metrics", "label": "pid11",
-         "snapshot": {"counters": {"c": 1}}},
-        {"type": "stream_end", "records": 9},
-    ]
+def _header(run_id: str = "r") -> dict:
+    return {"schema": TRACE_SCHEMA, "version": 2, "run_id": run_id}
+
+
+def _window(app: int = 0, scheme: str = "pbs-ws", ts: float = 800.0) -> Event:
+    return Event(
+        name=f"BLK_TRD|{scheme}|app{app}", cat="window", ph="C", ts=ts,
+        clock=CLOCK_CYCLES,
+        args={"eb": 0.41, "bw": 0.32, "cmr": 0.78, "ipc": 1.23},
+    )
+
+
+def _instant(name: str, cat: str, ts: float = 0.0, **args) -> Event:
+    return Event(name=name, cat=cat, ph="i", ts=ts, args=args)
+
+
+def _job(name: str, ts: float, dur: float, worker: object = 1) -> Event:
+    return Event(name=name, cat="job", ph="X", ts=ts, dur=dur,
+                 args={"worker": worker, "queue_wait_s": 0.0})
+
+
+#: The event form of every live record type (heartbeats are gone and
+#: metrics are merged into the registry, not logged).
+def _live_events() -> dict[str, Event]:
+    return {
+        "window": _window(),
+        "decision": Event(
+            name="pbs.sample", cat="pbs", ph="i", ts=800.0,
+            clock=CLOCK_CYCLES,
+            args={"workload": "BLK_TRD", "scheme": "pbs-ws",
+                  "combo": [8, 2], "objective": 1.5},
+        ),
+        "tenancy": Event(
+            name="tenancy.attach", cat="tenancy", ph="i", ts=29500.0,
+            clock=CLOCK_CYCLES,
+            args={"workload": "two-phase", "scheme": "pbs-ws",
+                  "event": "attach", "app": 2, "abbr": "LUD",
+                  "roster": [0, 1, 2], "cores": [3, 3, 2]},
+        ),
+        "batch": _instant("batch", "exec", total=8),
+        "job_start": _instant("job_start", "job", job="job:alone/BLK/8",
+                              pid=11),
+        "job_done": _job("job:alone/BLK/8", 10.0, 250.0, worker=11),
+        "job_fail": _instant("job_fail", "job", job="job:alone/BLK/8",
+                             pid=12, error="ValueError: boom"),
+        "profile": _instant("hot:run (engine.py:1)", "profile", job="x",
+                            pid=11, cum_s=0.5, self_s=0.1, calls=42),
+        "stream_end": _instant("stream_end", "log", records=9, dropped=0),
+    }
 
 
 # --- schema -------------------------------------------------------------------
@@ -114,55 +136,67 @@ def _valid_records() -> list[dict]:
 
 class TestLiveSchema:
     def test_every_record_type_has_a_valid_example(self):
-        records = _valid_records()
-        assert {r["type"] for r in records} == set(LIVE_RECORD_TYPES)
-        for record in records:
-            assert validate_live_record(record) == [], record["type"]
+        events = _live_events()
+        assert set(events) == {
+            "window", "decision", "tenancy", "batch", "job_start",
+            "job_done", "job_fail", "profile", "stream_end",
+        }
+        records = [_header()] + [e.to_dict() for e in events.values()]
+        _, parsed = parse_events(json.loads(json.dumps(records)))
+        assert parsed == list(events.values())
+        # window samples are the only counters
+        assert [e.cat for e in parsed if e.ph == "C"] == ["window"]
 
     def test_extra_fields_are_allowed(self):
-        record = {"type": "heartbeat", "pid": 3, "sent": 17, "t": 1.5}
-        assert validate_live_record(record) == []
+        record = {**_instant("batch", "exec", total=1).to_dict(),
+                  "note": "producer annotation"}
+        (event,) = parse_events([_header(), record])[1]
+        assert event.args == {"total": 1}
 
     def test_unknown_type_rejected(self):
-        assert validate_live_record({"type": "mystery"}) == [
-            "unknown record type 'mystery'"
-        ]
-        assert validate_live_record({}) == ["unknown record type None"]
+        record = {**_window().to_dict(), "ph": "B"}
+        with pytest.raises(ValueError, match="unknown phase 'B'"):
+            parse_events([_header(), record])
 
     def test_missing_field_reported(self):
-        (problem,) = validate_live_record({"type": "batch"})
-        assert "missing field 'total'" in problem
+        record = _window().to_dict()
+        del record["ts"]
+        with pytest.raises(ValueError, match="line 2: missing field 'ts'"):
+            parse_events([_header(), record])
 
     def test_bool_is_not_an_int(self):
-        # bool subclasses int; a pid of True is a producer bug, not data.
-        problems = validate_live_record(
-            {"type": "job_start", "job": "x", "pid": True}
-        )
-        assert problems and "pid" in problems[0]
+        # bool subclasses int; a timestamp of True is a producer bug.
+        record = {**_window().to_dict(), "ts": True}
+        with pytest.raises(ValueError, match="ts is not a number"):
+            parse_events([_header(), record])
+        with pytest.raises(ValueError, match="args is not an object"):
+            parse_events([_header(), {**_window().to_dict(), "args": [1]}])
 
     def test_parse_live_validates_header_and_lines(self):
-        header = live_header("r1")
-        ok_header, records = parse_live([header, {"type": "batch", "total": 1}])
-        assert ok_header["run_id"] == "r1"
-        assert records == [{"type": "batch", "total": 1}]
-        with pytest.raises(ValueError, match="empty live stream"):
-            parse_live([])
-        with pytest.raises(ValueError, match="not a repro.obs live stream"):
-            parse_live([{"schema": "something.else"}])
+        ok_header, events = parse_events([_header("r1")])
+        assert ok_header["run_id"] == "r1" and events == []
+        with pytest.raises(ValueError, match="empty trace"):
+            parse_events([])
+        with pytest.raises(ValueError, match="not a repro.obs trace"):
+            parse_events([{"schema": "repro.obs.live", "version": 1}])
         with pytest.raises(ValueError, match="version"):
-            parse_live([{"schema": LIVE_SCHEMA, "version": 99}])
-        with pytest.raises(ValueError, match="line 2"):
-            parse_live([header, {"type": "nope"}])
+            parse_events([{**_header(), "version": 1}])  # the v1 dump
 
     def test_load_live_round_trip(self, tmp_path):
-        path = tmp_path / "live.ndjson"
-        with JsonlAppender(path) as sink:
-            sink.append(live_header("r2"))
-            for record in _valid_records():
-                sink.append(record)
-        header, records = load_live(path)
-        assert header["version"] == LIVE_SCHEMA_VERSION
-        assert len(records) == len(LIVE_RECORD_TYPES)
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer("r2", path)
+        tracer.counter("BLK_TRD|pbs-ws|app0", {"eb": 0.4, "ipc": 1.2}, ts=800.0,
+                       cat="window")
+        tracer.instant("pbs.sample", cat="pbs", clock=CLOCK_CYCLES, ts=800.0,
+                       combo=[8, 2])
+        tracer.complete("job:a", ts=1.0, dur=2.0, cat="job", worker=3)
+        # streamed as recorded: readable before the tracer is closed
+        header, events = load_trace(path)
+        assert header["run_id"] == "r2" and header["version"] == 2
+        assert events == tracer.events
+        tracer.close()
+        tracer.instant("after-close")  # kept in memory, not logged
+        assert load_trace(path)[1] == tracer.events[:-1]
 
 
 # --- publishers ---------------------------------------------------------------
@@ -174,12 +208,11 @@ class TestPublishers:
         assert isinstance(publisher, NullPublisher)
         assert publisher.enabled is False
         assert publisher.worker is False and publisher.profile is False
-        publisher.publish({"type": "batch", "total": 1})  # no-ops
-        publisher.heartbeat()
+        publisher.publish({"type": "job_start", "job": "a", "pid": 1})
 
     def test_set_publisher_install_and_disable(self):
         q: "queue.Queue[dict]" = queue.Queue()
-        publisher = QueuePublisher(q, worker=True)
+        publisher = QueuePublisher(q)
         previous = set_publisher(publisher)
         try:
             assert isinstance(previous, NullPublisher)
@@ -188,46 +221,41 @@ class TestPublishers:
             assert set_publisher(None) is publisher
         assert isinstance(get_publisher(), NullPublisher)
 
-    def test_publish_stamps_time_and_counts(self):
+    def test_publish_puts_the_message_on_the_queue(self):
         q: "queue.Queue[dict]" = queue.Queue()
         publisher = QueuePublisher(q)
-        publisher.publish({"type": "batch", "total": 2})
-        record = q.get_nowait()
-        assert record["total"] == 2 and isinstance(record["t"], float)
-        assert publisher.sent == 1 and publisher.dropped == 0
+        publisher.publish({"type": "job_start", "job": "a", "pid": 2})
+        assert q.get_nowait() == {"type": "job_start", "job": "a", "pid": 2}
+        assert publisher.worker and publisher.dropped == 0
 
     def test_full_queue_drops_instead_of_blocking(self):
         q: "queue.Queue[dict]" = queue.Queue(maxsize=1)
         publisher = QueuePublisher(q)
-        publisher.publish({"type": "batch", "total": 1})
-        publisher.publish({"type": "batch", "total": 2})  # queue is full
-        assert publisher.sent == 1 and publisher.dropped == 1
-        assert q.get_nowait()["total"] == 1
-
-    def test_heartbeat_throttles(self):
-        q: "queue.Queue[dict]" = queue.Queue()
-        publisher = QueuePublisher(q, heartbeat_s=3600.0)
-        publisher.heartbeat()
-        publisher.heartbeat()  # within the interval: suppressed
-        assert q.qsize() == 1
-        eager = QueuePublisher(q, heartbeat_s=0.0)
-        eager.heartbeat()
-        eager.heartbeat()
-        assert q.qsize() == 3
+        publisher.publish({"type": "job_start", "job": "a", "pid": 1})
+        publisher.publish({"type": "job_start", "job": "b", "pid": 1})
+        assert publisher.dropped == 1
+        assert q.get_nowait()["job"] == "a"
 
     def test_worker_config_round_trips_the_knobs(self):
         q: "queue.Queue[dict]" = queue.Queue()
-        publisher = QueuePublisher(
-            q, worker=False, profile=True, heartbeat_s=2.0,
-            window_cap=16, profile_top=5,
-        )
-        config = publisher.worker_config()
-        clone = QueuePublisher(q, worker=True, **config)
-        assert clone.profile and clone.window_cap == 16
-        assert clone.profile_top == 5 and clone.heartbeat_s == 2.0
+        publisher = QueuePublisher(q, profile=True, profile_top=5)
+        clone = QueuePublisher(q, **publisher.worker_config())
+        assert clone.profile and clone.profile_top == 5
+
+    def test_parent_messages_never_cross_the_queue(
+        self, tmp_path, fresh_metrics
+    ):
+        hub = LiveHub("run-p", tmp_path / "trace.jsonl")
+        assert hub.publisher.enabled and not hub.publisher.worker
+        hub.publisher.publish({"type": "job_start", "job": "a", "pid": 3})
+        # handled synchronously, before the collector ever sees it
+        (event,) = hub.tracer.events
+        assert event.name == "job_start" and event.args["pid"] == 3
+        assert hub.queue.empty()
+        hub.close()
 
 
-# --- record builders ----------------------------------------------------------
+# --- result to events ---------------------------------------------------------
 
 
 def _scheme_result(n_windows: int = 1):
@@ -236,43 +264,51 @@ def _scheme_result(n_windows: int = 1):
     return SimpleNamespace(
         workload="BLK_TRD",
         scheme="pbs-ws",
-        result=SimpleNamespace(windows=windows),
-        decisions=[{"kind": "sample", "cycle": 900.0}],
+        result=SimpleNamespace(windows=windows, roster=[]),
+        decisions=[{"kind": "sample", "cycle": 900.0, "combo": [8, 2],
+                    "objective": 1.5}],
     )
 
 
 class TestResultRecords:
     def test_scheme_result_yields_labelled_windows_and_decisions(self):
-        records = result_records(_scheme_result())
-        assert [r["type"] for r in records] == ["window", "decision"]
-        window, decision = records
-        assert window["workload"] == "BLK_TRD" and window["scheme"] == "pbs-ws"
-        assert window["cycle"] == 1000.0 and window["ipc"] == 1.25
-        assert decision["kind"] == "sample" and decision["cycle"] == 900.0
-        for record in records:
-            assert validate_live_record(record) == []
+        from repro.core.runner import emit_scheme_events
+
+        tracer = Tracer("t")
+        emit_scheme_events(_scheme_result(), tracer)
+        window, decision = tracer.events
+        assert window.name == "BLK_TRD|pbs-ws|app0" and window.ph == "C"
+        assert window.ts == 1000.0 and window.clock == CLOCK_CYCLES
+        assert window.args == {"eb": 0.5, "bw": 0.4, "cmr": 0.8, "ipc": 1.25}
+        # decisions keep their full detail
+        assert decision.name == "pbs.sample" and decision.ts == 900.0
+        assert decision.args == {"workload": "BLK_TRD", "scheme": "pbs-ws",
+                                 "combo": [8, 2], "objective": 1.5}
 
     def test_bare_sim_result_labelled_from_tag(self):
+        from repro.core.runner import emit_job_events
+
         sample = SimpleNamespace(eb=0.1, bw=0.2, cmr=0.5, ipc=0.7)
-        result = SimpleNamespace(windows=[(500.0, {1: sample})])
-        (record,) = result_records(result, tag=("alone", "BLK", 8))
-        assert record["scheme"] == "alone" and record["workload"] == "BLK"
-        assert record["app"] == 1
-        (untagged,) = result_records(result)
-        assert untagged["scheme"] == "run" and untagged["workload"] == "?"
+        result = SimpleNamespace(windows=[(500.0, {1: sample})], roster=[])
+        jobs = [
+            SimpleNamespace(tag=("alone", "BLK", 8), combo=(8,)),
+            SimpleNamespace(tag=("surface", "BLK_TRD", (4, 16)), combo=(4, 16)),
+        ]
+        tracer = Tracer("t")
+        with tracing(tracer):
+            emit_job_events(jobs, [result, result])
+        assert [e.name for e in tracer.events] == [
+            "BLK|alone@8|app1", "BLK_TRD|surface@4x16|app1",
+        ]
+        assert tracer.events[0].args["ipc"] == 0.7
 
-    def test_non_result_values_yield_nothing(self):
-        assert result_records(None) == []
-        assert result_records({"plain": "dict"}) == []
-        assert result_records(3.14) == []
+    def test_every_window_sample_is_one_counter(self):
+        from repro.core.runner import emit_scheme_events
 
-    def test_window_cap_strides_but_keeps_the_last_window(self):
-        records = result_records(_scheme_result(100), window_cap=10)
-        windows = [r for r in records if r["type"] == "window"]
-        assert len(windows) <= 11  # ceil-stride keeps ~cap plus the last
-        assert windows[-1]["cycle"] == 100_000.0  # last window survives
-        uncapped = result_records(_scheme_result(100), window_cap=0)
-        assert len([r for r in uncapped if r["type"] == "window"]) == 100
+        tracer = Tracer("t")
+        emit_scheme_events(_scheme_result(100), tracer)
+        counters = [e for e in tracer.events if e.ph == "C"]
+        assert [e.ts for e in counters] == [1000.0 * (i + 1) for i in range(100)]
 
 
 class TestProfileFrames:
@@ -300,54 +336,50 @@ class TestLiveHub:
     ):
         seen: list[dict] = []
         hub = LiveHub(
-            "run-1", tmp_path / "live.ndjson", on_record=seen.append
+            "run-1", tmp_path / "trace.jsonl", on_record=seen.append
         )
-        hub.publisher.publish({"type": "batch", "total": 2})
-        hub.publisher.publish(
-            {"type": "job_done", "job": "a", "pid": 1, "elapsed_s": 0.1}
-        )
-        hub.publisher.publish({"type": "bogus"})  # invalid: counted, dropped
-        hub.publisher.publish(
+        # messages from a pool worker arrive over the queue
+        worker = QueuePublisher(hub.queue)
+        worker.publish({"type": "job_start", "job": "a", "pid": 1})
+        worker.publish({"type": "bogus"})  # unusable: counted, dropped
+        worker.publish(
             {"type": "metrics", "label": "pid9",
              "snapshot": {"counters": {"sim.runs": 2},
                           "gauges": {"engine.wheel.high_water": 7.0}}}
         )
         path = hub.close()
 
-        header, records = load_live(path)
-        assert header == {**live_header("run-1")}
-        types = [r["type"] for r in records]
-        assert types == ["batch", "job_done", "metrics", "stream_end"]
-        end = records[-1]
-        assert end["records"] == 3 and end["invalid"] == 1
-        assert end["dropped"] == 0
-        # worker metrics folded into the ambient registry, pid-labelled
+        header, events = load_trace(path)
+        assert header == Tracer("run-1").header()
+        assert [e.name for e in events] == ["job_start", "stream_end"]
+        end = events[-1]
+        assert end.cat == "log" and end.args == {"records": 2, "dropped": 1}
+        # worker metrics folded into the ambient registry, pid-labelled,
+        # and not logged
         assert fresh_metrics.counters["sim.runs"] == 2
         assert fresh_metrics.gauges["engine.wheel.high_water@pid9"] == 7.0
-        # the on_record callback saw every valid record plus stream_end
-        assert [r["type"] for r in seen] == types
+        # the on_record callback saw every usable message
+        assert [r["type"] for r in seen] == ["job_start", "metrics"]
 
     def test_profile_records_become_tracer_instants(
         self, tmp_path, fresh_metrics
     ):
-        tracer = Tracer("run-2")
-        with tracing(tracer):
-            hub = LiveHub("run-2", tmp_path / "live.ndjson", profile=True)
-            hub.publisher.publish(
-                {"type": "profile", "job": "alone BLK 8", "pid": 5,
-                 "frames": [["step (engine.py:10)", 0.9, 0.4, 120]]}
-            )
-            hub.close()
-        (instant,) = [e for e in tracer.events if e.cat == "profile"]
+        hub = LiveHub("run-2", tmp_path / "trace.jsonl", profile=True)
+        hub.publisher.publish(
+            {"type": "profile", "job": "alone BLK 8", "pid": 5,
+             "frames": [["step (engine.py:10)", 0.9, 0.4, 120]]}
+        )
+        hub.close()
+        (instant,) = [e for e in load_trace(hub.path)[1] if e.cat == "profile"]
         assert instant.name == "hot:step (engine.py:10)"
         assert instant.args["cum_s"] == 0.9 and instant.args["calls"] == 120
         assert instant.args["pid"] == 5
 
     def test_close_is_idempotent(self, tmp_path, fresh_metrics):
-        hub = LiveHub("run-3", tmp_path / "live.ndjson")
+        hub = LiveHub("run-3", tmp_path / "trace.jsonl")
         assert hub.close() == hub.close()
-        _, records = load_live(hub.path)
-        assert [r["type"] for r in records] == ["stream_end"]
+        _, events = load_trace(hub.path)
+        assert [e.name for e in events] == ["stream_end"]
 
     def test_callback_errors_never_kill_collection(
         self, tmp_path, fresh_metrics
@@ -355,14 +387,16 @@ class TestLiveHub:
         def explode(record: dict) -> None:
             raise RuntimeError("dashboard bug")
 
-        hub = LiveHub("run-4", tmp_path / "live.ndjson", on_record=explode)
-        hub.publisher.publish({"type": "batch", "total": 1})
-        hub.publisher.publish({"type": "heartbeat", "pid": 1})
+        hub = LiveHub("run-4", tmp_path / "trace.jsonl", on_record=explode)
+        hub.publisher.publish({"type": "job_start", "job": "a", "pid": 1})
+        QueuePublisher(hub.queue).publish(
+            {"type": "job_start", "job": "b", "pid": 2}
+        )
         hub.close()
-        assert hub.callback_errors >= 2  # records + stream_end all survived
-        _, records = load_live(hub.path)
-        assert [r["type"] for r in records] == [
-            "batch", "heartbeat", "stream_end",
+        assert hub.callback_errors == 2
+        _, events = load_trace(hub.path)
+        assert [e.name for e in events] == [
+            "job_start", "job_start", "stream_end",
         ]
 
 
@@ -371,97 +405,87 @@ class TestLiveHub:
 
 class TestLiveState:
     def test_batches_accumulate_and_lifecycle_tracks_workers(self):
-        state = LiveState(clock=FakeClock())
-        state.apply({"type": "batch", "total": 3})
-        state.apply({"type": "batch", "total": 2})
+        state = LiveState()
+        state.apply(_instant("batch", "exec", total=3))
+        state.apply(_instant("batch", "exec", total=2))
         assert state.total == 5 and state.batches == 2
-        state.apply({"type": "job_start", "job": "a", "pid": 10})
-        state.apply({"type": "job_start", "job": "b", "pid": 11})
+        state.apply(_instant("job_start", "job", job="a", pid=10))
+        state.apply(_instant("job_start", "job", job="b", pid=11))
         assert state.active == {10: "a", 11: "b"}
         assert state.queue_depth() == 3
-        state.apply({"type": "job_done", "job": "a", "pid": 10,
-                     "elapsed_s": 1.0})
-        state.apply({"type": "job_fail", "job": "b", "pid": 11,
-                     "error": "boom"})
+        state.apply(_job("a", 0.0, 1e6, worker=10))
+        state.apply(_instant("job_fail", "job", job="b", pid=11,
+                             error="boom"))
         assert state.done == 1 and state.failed == 1
         assert state.workers == {10, 11} and state.active == {}
         assert state.last_error == "b: boom"
-        state.apply({"type": "stream_end", "records": 6})
+        state.apply(_instant("stream_end", "log", records=6, dropped=0))
         assert state.ended
 
     def test_rate_and_eta_from_completion_span(self):
-        clock = FakeClock(100.0)
-        state = LiveState(clock=clock)
-        state.apply({"type": "batch", "total": 10})
-        # first job done at t=100, ran 2s -> anchor backdated to 98
-        state.apply({"type": "job_done", "job": "a", "pid": 1,
-                     "elapsed_s": 2.0})
-        clock.advance(2.0)
-        state.apply({"type": "job_done", "job": "b", "pid": 1,
-                     "elapsed_s": 2.0})
+        state = LiveState()
+        state.apply(_instant("batch", "exec", total=10))
+        # job a ran 0..2s, job b 2..4s (log microseconds)
+        state.apply(_job("a", 0.0, 2e6))
+        state.apply(_job("b", 2e6, 2e6))
         assert state.jobs_per_sec() == pytest.approx(0.5)  # 2 jobs / 4s
         assert state.eta_s() == pytest.approx(16.0)  # 8 remaining / 0.5
         assert state.queue_depth() == 8
 
     def test_no_rate_before_first_completion(self):
-        state = LiveState(clock=FakeClock())
-        state.apply({"type": "batch", "total": 4})
+        state = LiveState()
+        state.apply(_instant("batch", "exec", total=4))
         assert state.jobs_per_sec() == 0.0 and state.eta_s() is None
 
 
 class TestRenderLines:
-    def _window(self, app_id: int, scheme: str = "pbs-ws") -> dict:
-        return {"type": "window", "workload": "BLK_TRD", "scheme": scheme,
-                "app": app_id, "cycle": 1600.0, "eb": 0.41, "bw": 0.32,
-                "cmr": 0.78, "ipc": 1.23}
-
     def test_head_series_and_totals(self):
-        state = LiveState(clock=FakeClock())
+        state = LiveState()
         state.run_id = "compare-1"
-        state.apply({"type": "batch", "total": 4})
-        state.apply(self._window(0))
-        state.apply({"type": "decision", "workload": "BLK_TRD",
-                     "scheme": "pbs-ws", "kind": "sample", "cycle": 1600.0})
+        state.apply(_instant("batch", "exec", total=4))
+        state.apply(_window(0, ts=1600.0))
+        state.apply(_live_events()["decision"])
         lines = render_lines(state)
         assert lines[0].startswith("live compare-1 — jobs 0/4")
         series = [ln for ln in lines if "app0" in ln]
         assert series and "IPC 1.230" in series[0] and "EB 0.410" in series[0]
+        assert "@     1600" in series[0]
         assert "decisions 1" in lines[-1]
-        assert "last pbs-ws.sample @1600" in lines[-1]
+        assert "last pbs-ws.sample @800" in lines[-1]
 
     def test_many_series_elide_and_failures_show(self):
-        state = LiveState(clock=FakeClock())
+        state = LiveState()
         for i in range(12):
-            state.apply(self._window(0, scheme=f"s{i:02d}"))
-        state.apply({"type": "job_fail", "job": "x", "pid": 1,
-                     "error": "ValueError"})
+            state.apply(_window(0, scheme=f"s{i:02d}"))
+        state.apply(_instant("job_fail", "job", job="x", pid=1,
+                             error="ValueError"))
         lines = render_lines(state)
         assert any("... 4 more series" in ln for ln in lines)
         assert lines[-1].startswith("  FAIL x: ValueError")
 
 
 class TestDashboard:
-    def _records(self) -> list[dict]:
+    def _events(self) -> list[Event]:
         return [
-            {"type": "batch", "total": 2},
-            {"type": "job_start", "job": "a", "pid": 1},
-            {"type": "job_done", "job": "a", "pid": 1, "elapsed_s": 0.5},
-            {"type": "job_done", "job": "b", "pid": 1, "elapsed_s": 0.5},
-            {"type": "stream_end", "records": 4},
+            _instant("batch", "exec", total=2),
+            _instant("job_start", "job", job="a", pid=1),
+            _job("a", 0.0, 0.5e6),
+            _job("b", 0.5e6, 0.5e6),
+            _instant("stream_end", "log", records=4, dropped=0),
         ]
 
     def test_tty_repaints_in_place_with_throttle(self):
         clock = FakeClock()
         stream = FakeTTY()
         dash = Dashboard(stream, run_id="r", min_interval_s=0.25, clock=clock)
-        records = self._records()
-        dash.on_record(records[0])  # first render is immediate
-        dash.on_record(records[1])  # within the interval: folded, no redraw
+        events = self._events()
+        dash.on_event(events[0])  # first render is immediate
+        dash.on_event(events[1])  # within the interval: folded, no redraw
         assert dash.renders == 1
         clock.advance(0.3)
-        dash.on_record(records[2])  # past the interval: redraw
+        dash.on_event(events[2])  # past the interval: redraw
         assert dash.renders == 2
-        dash.on_record(records[4])  # stream_end always renders
+        dash.on_event(events[4])  # stream_end always renders
         assert dash.renders == 3
         out = stream.getvalue()
         assert out.count("\x1b[") >= 2  # in-place rewrites after frame 1
@@ -470,30 +494,31 @@ class TestDashboard:
     def test_non_tty_degrades_to_plain_lines(self):
         stream = io.StringIO()
         dash = Dashboard(stream, run_id="r", clock=FakeClock())
-        for record in self._records():
-            dash.on_record(record)
-        dash.on_record({"type": "job_fail", "job": "c", "pid": 1,
-                        "error": "boom"})
+        for event in self._events():
+            dash.on_event(event)
+        dash.on_event(_instant("job_fail", "job", job="c", pid=1,
+                               error="boom"))
         out = stream.getvalue()
         assert "\x1b[" not in out and dash.renders == 0
-        assert "[1/2] a (0.5s, pid 1)" in out
+        assert "[1/2] a (0.5s, worker 1)" in out
         assert "stream end: 2 done, 0 failed" in out
         assert "FAIL c: boom" in out
 
 
 class TestWatch:
-    def _write_stream(self, path, *, end: bool = True) -> None:
+    def _write_log(self, path, *, end: bool = True) -> None:
         with JsonlAppender(path) as sink:
-            sink.append(live_header("run-w"))
-            sink.append({"type": "batch", "total": 1})
-            sink.append({"type": "job_done", "job": "a", "pid": 1,
-                         "elapsed_s": 0.5})
+            sink.append(_header("run-w"))
+            sink.append(_instant("batch", "exec", total=1).to_dict())
+            sink.append(_job("a", 0.0, 0.5e6).to_dict())
             if end:
-                sink.append({"type": "stream_end", "records": 2})
+                sink.append(
+                    _instant("stream_end", "log", records=2, dropped=0).to_dict()
+                )
 
     def test_replays_a_finished_stream(self, tmp_path):
-        path = tmp_path / "live.ndjson"
-        self._write_stream(path)
+        path = tmp_path / "trace.jsonl"
+        self._write_log(path)
         stream = io.StringIO()
         state = watch(path, follow=False, stream=stream, clock=FakeClock())
         assert state.ended and state.done == 1
@@ -501,24 +526,24 @@ class TestWatch:
         assert "stream end" in stream.getvalue()
 
     def test_rejects_a_non_live_file(self, tmp_path):
-        path = tmp_path / "live.ndjson"
+        path = tmp_path / "trace.jsonl"
         path.write_text('{"schema": "other", "version": 1}\n')
-        with pytest.raises(ValueError, match="not a repro.obs.live"):
+        with pytest.raises(ValueError, match="not a repro.obs trace"):
             watch(path, follow=False, stream=io.StringIO())
 
     def test_partial_trailing_line_is_not_parsed(self, tmp_path):
-        path = tmp_path / "live.ndjson"
-        self._write_stream(path, end=False)
+        path = tmp_path / "trace.jsonl"
+        self._write_log(path, end=False)
         with path.open("a") as fh:
-            fh.write('{"type": "job_done", "job"')  # writer mid-append
+            fh.write('{"name": "job:b", "cat"')  # writer mid-append
         state = watch(
             path, follow=False, stream=io.StringIO(), clock=FakeClock()
         )
         assert state.done == 1 and not state.ended
 
     def test_follow_times_out_on_a_stalled_stream(self, tmp_path):
-        path = tmp_path / "live.ndjson"
-        self._write_stream(path, end=False)
+        path = tmp_path / "trace.jsonl"
+        self._write_log(path, end=False)
         clock = FakeClock()
         state = watch(
             path, follow=True, stream=io.StringIO(), timeout_s=5.0,
@@ -680,14 +705,18 @@ class TestEngineProfiling:
 
 
 class TestTelemetryIdentity:
-    def test_published_run_is_identical_to_a_silent_one(self, fresh_metrics):
+    def test_published_run_is_identical_to_a_silent_one(
+        self, tmp_path, fresh_metrics
+    ):
         silent = _tiny_run()
-        q: "queue.Queue[dict]" = queue.Queue()
-        set_publisher(QueuePublisher(q, worker=False))
+        hub = LiveHub("identity", tmp_path / "trace.jsonl")
+        set_publisher(hub.publisher)
         try:
-            published = _tiny_run()
+            with tracing(hub.tracer):
+                published = _tiny_run()
         finally:
             set_publisher(None)
+            hub.close()
         assert published == silent
 
 
@@ -766,20 +795,25 @@ class TestCLILive:
         from repro.cli import main
 
         run_dir = self._traced_compare(isolated_store, "--profile")
-        header, records = load_live(run_dir / "live.ndjson")
-        assert header["run_id"] == run_dir.name
-        types = {r["type"] for r in records}
-        assert {"batch", "job_start", "job_done", "window", "decision",
-                "profile", "metrics", "stream_end"} <= types
-        end = records[-1]
-        assert end["type"] == "stream_end"
-        assert end["records"] == len(records) - 1 and end["invalid"] == 0
-        # every window was published exactly once (no worker/parent dupes)
-        windows = [
-            (r["workload"], r["scheme"], r["app"], r["cycle"])
-            for r in records if r["type"] == "window"
+        # one log, its export and the manifest: nothing else
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "manifest.json", "trace.chrome.json", "trace.jsonl",
         ]
-        assert len(windows) == len(set(windows))
+        header, events = load_trace(run_dir / "trace.jsonl")
+        assert header["run_id"] == run_dir.name
+        kinds = {(e.cat, e.ph if e.ph != "i" else e.name) for e in events}
+        assert {("exec", "batch"), ("job", "job_start"), ("job", "X"),
+                ("window", "C"), ("log", "stream_end")} <= kinds
+        assert any(e.cat == "pbs" for e in events)
+        assert any(e.cat == "profile" for e in events)
+        # window samples are the only counters, each one logged once
+        counters = [e for e in events if e.ph == "C"]
+        assert {e.cat for e in counters} == {"window"}
+        assert all(set(e.args) == {"eb", "bw", "cmr", "ipc"} for e in counters)
+        keys = [(e.name, e.ts) for e in counters]
+        assert len(keys) == len(set(keys))
+        end = events[-1]
+        assert end.name == "stream_end" and end.args["dropped"] == 0
 
         # profile frames landed in the Perfetto export on their thread
         chrome = json.loads((run_dir / "trace.chrome.json").read_text())
@@ -789,30 +823,33 @@ class TestCLILive:
 
         # engine self-profiling counters reached the run manifest
         manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["files"] == [
+            "trace.chrome.json", "trace.jsonl",
+        ]
         counters = manifest["metrics"]["counters"]
         assert counters["engine.events.dispatched"] > 0
 
         capsys.readouterr()
-        # the live stream is replayable through the watch command
+        # the log is replayable through the watch command
         assert main(["watch", str(run_dir), "--no-follow"]) == 0
         assert "stream end:" in capsys.readouterr().err
 
         # and summarize reports it, in both text and JSON
         assert main(["trace", "summarize", str(run_dir)]) == 0
         out = capsys.readouterr().out
-        assert "== live stream ==" in out and "== engine counters ==" in out
+        assert "== event log ==" in out and "== engine counters ==" in out
         assert main(["trace", "summarize", str(run_dir), "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["run_id"] == run_dir.name
-        assert data["live"]["invalid"] == 0
-        assert data["live"]["types"]["window"] == len(windows)
+        assert data["log"]["closed"] and data["log"]["dropped"] == 0
+        assert data["log"]["counts"]["window"] == len(keys)
         assert data["engine"]["counters"]["engine.events.dispatched"] > 0
 
     def test_untraced_run_leaves_no_ambient_publisher(self, isolated_store):
         run_dir = self._traced_compare(isolated_store)
         assert isinstance(get_publisher(), NullPublisher)
-        _, records = load_live(run_dir / "live.ndjson")
-        assert not any(r["type"] == "profile" for r in records)
+        _, events = load_trace(run_dir / "trace.jsonl")
+        assert not any(e.cat == "profile" for e in events)
 
     def test_watch_flag_prints_plain_lines_off_tty(
         self, isolated_store, capsys
@@ -820,13 +857,13 @@ class TestCLILive:
         run_dir = self._traced_compare(isolated_store, "--watch")
         err = capsys.readouterr().err
         assert "stream end:" in err and "\x1b[" not in err
-        assert (run_dir / "live.ndjson").is_file()
+        assert (run_dir / "trace.jsonl").is_file()
 
     def test_watch_missing_run_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
         assert main(["watch", "nope", "--trace-dir", str(tmp_path)]) == 2
-        assert "no live stream" in capsys.readouterr().err
+        assert "no such trace" in capsys.readouterr().err
 
     def test_bench_history_command(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,10 +1,10 @@
 """Tests for repro.obs: tracing, metrics, manifests, exports, summaries.
 
 Unit coverage for each obs module plus the end-to-end gate: a traced
-quick ``compare`` run must produce a parseable JSONL trace, a loadable
-Chrome export, and a complete manifest, and ``repro trace summarize``
-must reconstruct phases, window timelines, and the PBS decision log
-from them.
+quick ``compare`` run must produce a parseable JSONL event log, a
+loadable Chrome export, and a complete manifest, and ``repro trace
+summarize`` must reconstruct phases, window timelines, and the PBS
+decision log from them.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.obs import (
     get_tracer,
     job_stats,
     load_trace,
+    log_stats,
     parse_events,
     read_jsonl,
     resolve_trace_path,
@@ -47,6 +48,15 @@ from repro.obs import (
     window_timelines,
     write_chrome_trace,
 )
+from repro.obs.io import JsonlAppender
+
+
+def _write_log(path: Path, run_id: str, events: list[Event]) -> None:
+    """Write ``events`` as a run's event log at ``path``."""
+    with JsonlAppender(path, mode="w") as sink:
+        sink.append(Tracer(run_id).header())
+        for e in events:
+            sink.append(e.to_dict())
 
 
 # --- events and tracer --------------------------------------------------------
@@ -89,21 +99,19 @@ class TestTracer:
         assert wall_i.clock == CLOCK_WALL and wall_i.ts >= 0.0
 
     def test_jsonl_round_trip(self, tmp_path):
-        tracer = Tracer("roundtrip")
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer("roundtrip", path)
         with tracer.span("phase", cat="host", detail="x"):
             tracer.counter("w|s|app0", {"eb": 1.0}, ts=5.0)
         tracer.instant("pbs.final", cat="pbs", clock=CLOCK_CYCLES, ts=9.0,
                        combo=[24, 4])
-        header, events = parse_events(
-            [json.loads(line) for line in tracer.to_jsonl().splitlines()]
-        )
+        tracer.close()
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 + len(tracer.events)  # header + one per event
+        header, events = parse_events([json.loads(line) for line in lines])
         assert header["run_id"] == "roundtrip"
         assert events == tracer.events
-
-        path = tmp_path / "trace.jsonl"
-        tracer.write(path)
-        header2, events2 = load_trace(path)
-        assert (header2, events2) == (header, events)
+        assert load_trace(path) == (header, events)
 
     def test_phase_totals_top_level_only(self):
         tracer = Tracer("t")
@@ -140,7 +148,7 @@ class TestAmbientTracer:
 
 
 class TestParseErrors:
-    HEADER = {"schema": "repro.obs.trace", "version": 1, "run_id": "r"}
+    HEADER = {"schema": "repro.obs.trace", "version": 2, "run_id": "r"}
 
     def test_empty_trace(self):
         with pytest.raises(ValueError, match="missing schema header"):
@@ -426,6 +434,10 @@ def _synthetic_events():
               clock=CLOCK_CYCLES,
               args={"workload": "BLK_TRD", "scheme": "pbs-ws",
                     "combo": [24, 4], "n_samples": 9}),
+        Event(name="tenancy.attach", cat="tenancy", ph="i", ts=1900.0,
+              clock=CLOCK_CYCLES,
+              args={"workload": "BLK_TRD", "scheme": "pbs-ws",
+                    "event": "attach", "app": 2, "roster": [0, 1, 2]}),
     ]
 
 
@@ -456,26 +468,34 @@ class TestSummarizeAggregations:
         assert entries[0]["combo"] == [24, 4]
         assert "workload" not in entries[0]
 
+    def test_log_stats_counts_every_category(self):
+        stats = log_stats(_synthetic_events())
+        assert stats["counts"] == {
+            "host": 2, "job": 2, "pbs": 2, "tenancy": 1, "window": 2,
+        }
+        assert not stats["closed"] and stats["dropped"] == 0
+        end = Event(name="stream_end", cat="log", ph="i", ts=9.0,
+                    args={"records": 4, "dropped": 3})
+        closed = log_stats(_synthetic_events() + [end])
+        assert closed["closed"] and closed["dropped"] == 3
+
     def test_summarize_renders_everything(self, tmp_path):
-        tracer = Tracer("synthetic")
-        tracer.events = _synthetic_events()
         run_dir = tmp_path / "results" / "traces" / "synthetic"
         run_dir.mkdir(parents=True)
-        tracer.write(run_dir / "trace.jsonl")
+        _write_log(run_dir / "trace.jsonl", "synthetic", _synthetic_events())
         text = summarize("synthetic", root=tmp_path)
         assert "evaluate_schemes" in text
         assert "2 jobs on 2 worker(s)" in text
         assert "BLK_TRD pbs-ws app0: 2 windows" in text
         assert "sample (24, 4)  obj=1.2500" in text
         assert "settled on (24, 4) after 9 samples" in text
+        assert "tenancy=1" in text and "open" in text
         assert f"no {MANIFEST_FILENAME}" in text
 
     def _run_dir_with_trace(self, tmp_path):
-        tracer = Tracer("failed-run")
-        tracer.events = _synthetic_events()
         run_dir = tmp_path / "results" / "traces" / "failed-run"
         run_dir.mkdir(parents=True)
-        tracer.write(run_dir / "trace.jsonl")
+        _write_log(run_dir / "trace.jsonl", "failed-run", _synthetic_events())
         return run_dir
 
     def test_summarize_tolerates_failure_path_manifest(self, tmp_path):
@@ -536,11 +556,14 @@ class TestSummarizeAggregations:
 
 class TestEmitSchemeEvents:
     def _result(self):
-        sample = SimpleNamespace(eb=0.5, bw=0.4, cmr=0.1)
+        sample = SimpleNamespace(eb=0.5, bw=0.4, cmr=0.1, ipc=0.9)
+        roster = [{"cycle": 950.0, "event": "attach", "app": 2, "abbr": "LUD",
+                   "roster": [0, 1, 2], "cores": [3, 3, 2]}]
         return SimpleNamespace(
             workload="BLK_TRD",
             scheme="pbs-ws",
-            result=SimpleNamespace(windows=[(1000.0, {0: sample})]),
+            result=SimpleNamespace(windows=[(1000.0, {0: sample})],
+                                   roster=roster),
             decisions=[{"kind": "sample", "cycle": 900.0,
                         "combo": [24, 4], "objective": 1.5}],
         )
@@ -550,12 +573,15 @@ class TestEmitSchemeEvents:
 
         tracer = Tracer("t")
         emit_scheme_events(self._result(), tracer=tracer)
-        counter, instant = tracer.events
+        counter, instant, tenancy = tracer.events
         assert counter.name == "BLK_TRD|pbs-ws|app0"
-        assert counter.args == {"eb": 0.5, "bw": 0.4, "cmr": 0.1}
+        assert counter.args == {"eb": 0.5, "bw": 0.4, "cmr": 0.1, "ipc": 0.9}
         assert instant.name == "pbs.sample"
         assert instant.args["workload"] == "BLK_TRD"
         assert instant.ts == 900.0 and instant.clock == CLOCK_CYCLES
+        assert tenancy.name == "tenancy.attach" and tenancy.cat == "tenancy"
+        assert tenancy.ts == 950.0 and tenancy.clock == CLOCK_CYCLES
+        assert tenancy.args["roster"] == [0, 1, 2]
 
     def test_disabled_tracer_emits_nothing(self):
         from repro.core.runner import emit_scheme_events

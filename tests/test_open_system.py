@@ -1,6 +1,6 @@
 """End-to-end open-system tests: scenarios under hot-swappable
 policies, PBS re-search on roster changes, and tenancy telemetry in the
-live stream and dashboard."""
+event log and dashboard."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ import pytest
 
 from repro.experiments import SCENARIOS, ExperimentContext, ResultStore
 from repro.experiments.open_system import assemble_epochs, build_schedule
+from repro.core.runner import emit_scheme_events
+from repro.obs import Tracer, load_trace, tracing
 from repro.obs.dashboard import LiveState, render_lines
-from repro.obs.live import result_records, validate_live_record
 
 
 @pytest.fixture
@@ -110,26 +111,60 @@ class TestEpochAssembly:
         assert len(epochs) == 2  # app 0 departs in the third epoch
 
 
+def _events(report) -> list:
+    tracer = Tracer("open")
+    with tracing(tracer):
+        emit_scheme_events(report)
+    return tracer.events
+
+
 class TestTenancyTelemetry:
-    def test_result_records_include_valid_tenancy_records(self, ctx):
-        report = _run(ctx, "two-phase")
-        records = result_records(report)
-        tenancy = [r for r in records if r["type"] == "tenancy"]
-        assert len(tenancy) == 2
-        for rec in tenancy:
-            assert validate_live_record(rec) == []
-        attach = tenancy[0]
-        assert attach["event"] == "attach"
-        assert attach["workload"] == "two-phase"
-        assert attach["scheme"] == "pbs-ws"
-        assert attach["roster"] == [0, 1, 2]
+    def test_traced_run_logs_one_tenancy_instant_per_roster_record(
+        self, ctx, tmp_path, monkeypatch, capsys
+    ):
+        import repro.experiments.common as common
+        from repro.cli import main
+
+        # the CLI's store is the test's store, so both runs agree
+        monkeypatch.setattr(
+            common.ResultStore, "__init__",
+            lambda self, root=None: setattr(self, "root", ctx.store.root),
+        )
+        trace_dir = tmp_path / "traces"
+        assert main([
+            "--config", "medium", "--quick", "--jobs", "1", "--seed", "1",
+            "sim", "open", "--scenario", "two-phase",
+            "--trace", "--trace-dir", str(trace_dir),
+        ]) == 0
+        (run_dir,) = trace_dir.iterdir()
+        _, events = load_trace(run_dir / "trace.jsonl")
+
+        from repro.experiments import run_open_scenario
+
+        # the same run, untraced, as the CLI made it
+        report = run_open_scenario(ctx, SCENARIOS["two-phase"], "pbs-ws")
+        tenancy = [e for e in events if e.cat == "tenancy"]
+        assert len(tenancy) == len(report.result.roster) == 2
+        for event, rec in zip(tenancy, report.result.roster):
+            assert event.name == f"tenancy.{rec['event']}"
+            assert event.ts == rec["cycle"]
+            assert event.args == {
+                "workload": "two-phase", "scheme": "pbs-ws",
+                **{k: v for k, v in rec.items() if k != "cycle"},
+            }
+        # every window sample is one counter, and it carries IPC
+        counters = [e for e in events if e.ph == "C"]
+        assert counters and {e.cat for e in counters} == {"window"}
+        assert all(set(e.args) == {"eb", "bw", "cmr", "ipc"} for e in counters)
+        scheme = [e for e in counters if e.name.startswith("two-phase|pbs-ws|")]
+        assert len(scheme) == sum(len(s) for _t, s in report.result.windows)
 
     def test_dashboard_folds_and_renders_tenancy(self, ctx):
         report = _run(ctx, "two-phase")
-        state = LiveState(clock=lambda: 0.0)
-        for rec in result_records(report):
-            state.apply(rec)
+        state = LiveState()
+        for event in _events(report):
+            state.apply(event)
         assert state.tenancy_count == 2
-        assert state.last_tenancy["event"] == "detach"
+        assert state.last_tenancy.args["event"] == "detach"
         lines = render_lines(state)
         assert any("tenancy x2: detach" in line for line in lines)
