@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Run the repo's static invariant checker (same as ``repro lint``).
 
-Usage: python scripts/lint.py [paths...] [--format json] [--select R001]
+Usage: python scripts/lint.py [paths...] [--format json] [--select R014]
 Defaults to linting ``src tests scripts``.  Exit code 0 means clean;
 see docs/devtools.md for the rule catalog and suppression syntax.
 """

@@ -3,8 +3,6 @@
 ``repro.devtools`` hosts an AST-walking lint framework plus the
 repo-specific rules that guard the reproduction's headline guarantees:
 
-* **R001 determinism** — no unseeded global RNG, no wall-clock reads in
-  the simulator, no iteration over bare sets in sim hot paths;
 * **R002 float-equality** — no ``==``/``!=`` against float expressions
   in library code;
 * **R003 cache-schema drift** — the serialized field sets of
@@ -17,11 +15,15 @@ repo-specific rules that guard the reproduction's headline guarantees:
 * **R005 picklability** — workers and specs handed to the
   ``repro.exec`` pool are module-level and closure-free;
 * **R006 atomic-write** — nothing writes under ``results/`` except
-  through the atomic-replace helpers.
+  through the atomic-replace helpers;
+* **R010, R014-R016** — the one determinism analysis
+  (:mod:`repro.devtools.semantic.effects`): no unseeded entropy reaching
+  simulation state, workers or cache keys, no hash-ordered iteration in
+  the simulator, no module-state writes in pool workers.
 
 Run it with ``python -m repro lint [paths...]`` or
 ``python scripts/lint.py``; suppress a finding in place with a
-``# repro: noqa[R001]`` comment.  See ``docs/devtools.md`` for the rule
+``# repro: noqa[R002]`` comment.  See ``docs/devtools.md`` for the rule
 catalog and how to add a rule.
 """
 

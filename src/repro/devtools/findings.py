@@ -32,7 +32,7 @@ class Severity(enum.Enum):
 class Finding:
     """One rule violation at one source location."""
 
-    rule: str  #: rule id, e.g. ``"R001"``
+    rule: str  #: rule id, e.g. ``"R014"``
     severity: Severity
     path: str  #: path as given to the linter (repo-relative in CI)
     line: int  #: 1-based line number

@@ -5,7 +5,7 @@ Importing this package registers every rule with
 that defines a :class:`~repro.devtools.registry.LintRule` subclass
 decorated with ``@register``, and importing it below.
 
-The per-file rules (R001–R008) live in this package; the whole-program
+The per-file rules (R002–R008) live in this package; the whole-program
 semantic rules (R009–R016) live in :mod:`repro.devtools.semantic` and
 are imported here for the same register-on-import effect.
 """
@@ -13,7 +13,6 @@ are imported here for the same register-on-import effect.
 from repro.devtools.rules import (  # noqa: F401  (import-for-effect)
     atomic_write,
     cache_schema,
-    determinism,
     floatcmp,
     hotpath,
     layering,
@@ -24,13 +23,11 @@ from repro.devtools.semantic import (  # noqa: F401  (import-for-effect)
     clockdomains,
     effects,
     lifecycle,
-    races,
     typedcore,
     units,
 )
 
 __all__ = [
-    "determinism",
     "floatcmp",
     "cache_schema",
     "layering",
@@ -39,7 +36,6 @@ __all__ = [
     "noprint",
     "hotpath",
     "lifecycle",
-    "races",
     "typedcore",
     "units",
     "clockdomains",

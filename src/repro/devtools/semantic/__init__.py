@@ -1,6 +1,6 @@
 """Whole-program semantic analysis for the repro tree.
 
-The per-file AST rules (R001–R008) check invariants a single parse can
+The per-file AST rules (R002–R008) check invariants a single parse can
 see.  This package adds the cross-function layer the engine's pooled
 ``MemTxn`` stage machine needs:
 
@@ -14,8 +14,10 @@ see.  This package adds the cross-function layer the engine's pooled
 * :mod:`repro.devtools.semantic.lifecycle` — **R009**, the pooled-object
   lifecycle verifier over ``Simulator._dispatch`` and its helpers, plus
   the extracted stage-transition graph;
-* :mod:`repro.devtools.semantic.races` — **R010**, the cross-process
-  race detector for ``repro.exec`` pool workers;
+* :mod:`repro.devtools.semantic.effects` — the one determinism
+  analysis: effect inference over the call graph behind **R010** (pool
+  worker races), **R014** (entropy taint), **R015** (order hazards) and
+  **R016** (fingerprint purity);
 * :mod:`repro.devtools.semantic.typedcore` — **R011**, typed-core
   enforcement of the ``repro.sim`` / ``repro.exec`` public surfaces;
 * :mod:`repro.devtools.semantic.typegate` — the (optional) mypy

@@ -15,13 +15,12 @@ temp-file + :func:`os.replace` so a crashed lint run cannot leave a
 truncated cache behind.
 
 The cache key is *(content digest, analysis versions)*: editing a
-source file invalidates that file's entry (by digest), and editing an
-*analysis* — the summary extractor or any rule whose inputs are cached
-— invalidates the whole store via the ``analysis_versions`` fingerprint
-(a dict of per-component version ints; see
-:func:`repro.devtools.semantic.graph.analysis_versions`).  Before this
-fingerprint existed, bumping a rule served stale findings until the
-source files happened to change.
+source file invalidates that file's entry (by digest), and changing
+what a summary records invalidates the whole store via the
+``analysis_versions`` fingerprint.  The store holds only summaries, so
+:func:`repro.devtools.semantic.graph.graph_for_project` keys it on
+``{"summary": summary.ANALYSIS_VERSION}``; the rules run on every lint
+and are never cached.
 """
 
 from __future__ import annotations

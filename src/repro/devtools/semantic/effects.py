@@ -1,10 +1,11 @@
-"""R014-R016 — whole-program effect & determinism inference.
+"""R010, R014-R016 — the repo's one determinism analysis.
 
 Every reproduction claim in this tree rests on bit-identical
 determinism: golden fixtures, serial-vs-pooled identity, cache hits
-keyed by config fingerprints.  R001 polices entropy *syntactically, per
-file*; this module infers an **effect signature** for every function in
-the project and propagates it transitively over the
+keyed by config fingerprints.  This module infers an **effect
+signature** for every function in the project — and for each file's
+``<module>`` pseudo-function, the code that runs at import time — and
+propagates it transitively over the
 :class:`~repro.devtools.semantic.graph.ProjectGraph` call graph, so a
 ``time.time()`` buried two helpers below a seed computation is found
 interprocedurally.
@@ -26,27 +27,36 @@ Effect vocabulary (:data:`EFFECT_KINDS`):
 ``fs-write``
     direct file writes.
 
-Per-function events come from the v3 :class:`~repro.devtools.semantic.
+Per-function events come from the :class:`~repro.devtools.semantic.
 summary.FileSummary` layer (so they are content-hash cached); this
-module only joins them over resolved call edges — augmented with
-constructor edges (``PBSController(...)`` reaches
+module only joins them over the graph's resolved call edges, which
+include constructor edges (``PBSController(...)`` reaches
 ``PBSController.__init__``) so policy factories are auditable.
 
 The rules gated on the inference:
 
+* **R010 proc-races** — every direct ``state-mutation`` / ``fs-write``
+  site a pool worker can reach (the graph's one worker closure): the
+  write happens in the child process and the parent never sees it, or
+  concurrent workers tear a shared path.  One finding per site, naming
+  one worker->site chain; writes inside :mod:`repro.obs.io` (the atomic
+  helpers) are exempt.
 * **R014 determinism-taint** — unseeded entropy (``ambient-rng``,
   ``clock``, ``entropy``, ``env``) transitively reaching simulation
   state (any function in ``repro.sim``/``repro.core``/
   ``repro.workloads``), a pool-worker entry point (the producers of
-  ``SimResult``), or cache-key/fingerprint computation.  Findings are
+  ``SimResult``), or cache-key/fingerprint computation; and
+  ``ambient-rng`` anywhere in ``repro.*``.  Findings are
   located at the entropy *source* with the full file:line witness
   chain, so one justified ``repro: noqa[R014] -- reason`` comment at
-  the source silences every path through it.  ``register_policy`` factories get
-  the same audit: user policies run inside the deterministic engine.
-* **R015 rng-draw-order** — RNG draws (any stream) performed under
-  hash-ordered ``set`` iteration or under wall-clock/env-dependent
-  control flow in the simulation layers: the exact hazard the
-  fold-equivalence arguments assume away.
+  the source silences every path through it.  ``register_policy``
+  factories get the same audit: user policies run inside the
+  deterministic engine.
+* **R015 rng-draw-order** — every hash-ordered iteration (``set``
+  displays, constructors and set-typed locals) in the simulation
+  layers, and RNG draws (any stream) under wall-clock/env-dependent
+  control flow there: the exact hazards the fold-equivalence arguments
+  assume away.
 * **R016 fingerprint-purity** — every function reachable from
   config-fingerprint / cache-key computation must infer pure; accepted
   debt lives in ``src/repro/devtools/effects_baseline.txt`` and can
@@ -71,11 +81,10 @@ from typing import TYPE_CHECKING, Any
 from repro.devtools.findings import Finding
 from repro.devtools.registry import LintRule, register
 from repro.devtools.semantic.graph import ProjectGraph, graph_for_project
-from repro.devtools.semantic.races import _global_target
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.context import ProjectContext
-    from repro.devtools.semantic.summary import FileSummary
+    from repro.devtools.semantic.summary import FileSummary, FunctionInfo
 
 __all__ = [
     "ANALYSIS_VERSION",
@@ -90,13 +99,14 @@ __all__ = [
     "effects_graph_doc",
     "validate_effects_graph",
     "update_baseline",
+    "RaceRule",
     "EffectTaintRule",
     "DrawOrderRule",
     "FingerprintPurityRule",
 ]
 
-#: Version of the effect analysis; part of the AnalysisCache key.
-ANALYSIS_VERSION = 1
+#: Version of the effect analysis, published in ``effects_graph.json``.
+ANALYSIS_VERSION = 2
 
 #: kind -> one-line description (also published in effects_graph.json).
 EFFECT_KINDS: dict[str, str] = {
@@ -143,6 +153,10 @@ _BOUNDARY_MASKED = frozenset({"clock", "entropy", "env"})
 #: Simulation-layer module prefixes (R014 sinks, R015 scope).
 _SIM_LAYERS = ("repro.sim", "repro.core", "repro.workloads")
 
+#: Modules whose own file writes are the atomic-write implementation,
+#: exempt from R010.
+_WRITE_EXEMPT_MODULES = frozenset({"repro.obs.io"})
+
 #: Function-key suffixes that compute cache keys / fingerprints (R016
 #: roots, R014 sinks).
 _FINGERPRINT_SUFFIXES = (
@@ -167,6 +181,45 @@ def _is_fingerprint_root(key: str, module: str) -> bool:
     return key.split(".")[-1] == "config_fingerprint" or key.endswith(
         _FINGERPRINT_SUFFIXES
     )
+
+
+def _global_target(
+    graph: ProjectGraph, summary: "FileSummary", target: str
+) -> tuple[str, str] | None:
+    """Resolve a mutation target to ``(module, name)`` of a module-level
+    mutable binding, or ``None`` if it is only ever local state."""
+    head, _, tail = target.partition(".")
+    if not tail:
+        if target in summary.mutable_globals:
+            return summary.module, target
+        return None
+    # ``mod.NAME`` through a plain import, one attribute deep.
+    if "." in tail:
+        return None
+    imported = summary.imports.get(head)
+    if imported is None:
+        return None
+    owner = graph.modules.get(imported)
+    if owner is not None and tail in owner.mutable_globals:
+        return owner.module, tail
+    return None
+
+
+def _direct_sites(
+    graph: ProjectGraph, summary: "FileSummary", info: "FunctionInfo"
+) -> Iterator[tuple[str, int, str]]:
+    """Every direct ``state-mutation`` / ``fs-write`` site of one
+    function, as ``(kind, line, source)`` in source order per kind."""
+    for mut in info.mutations:
+        if (
+            mut["op"] in ("global-assign", "augassign")
+            or _global_target(graph, summary, mut["target"]) is not None
+        ):
+            yield "state-mutation", mut["line"], (
+                f"{mut['method'] or mut['op']} {mut['target']}"
+            )
+    for write in info.writes:
+        yield "fs-write", write["line"], write["kind"]
 
 
 def _event_kind(event: dict[str, Any]) -> str | None:
@@ -200,9 +253,6 @@ class EffectWorld:
         self.module_of: dict[str, str] = {}
         #: function key -> {kind: origin record}
         self.effects: dict[str, dict[str, dict[str, Any]]] = {}
-        #: function key -> [(callee key, callsite line, unordered,
-        #: clock_dep)] — resolved calls plus constructor edges.
-        self.edges: dict[str, list[tuple[str, int, bool, bool]]] = {}
         self._collect_direct()
         self._propagate()
 
@@ -225,63 +275,14 @@ class EffectWorld:
                             "line": event["line"],
                             "source": event.get("source", kind),
                         }
-                for mut in info.mutations:
-                    if "state-mutation" in eff:
-                        break
-                    if (
-                        mut["op"] in ("global-assign", "augassign")
-                        or _global_target(graph, summary, mut["target"])
-                        is not None
-                    ):
-                        eff["state-mutation"] = {
-                            "path": summary.path,
-                            "line": mut["line"],
-                            "source": f"{mut['op']} {mut['target']}",
+                for kind, line, source in _direct_sites(
+                    graph, summary, info
+                ):
+                    if kind not in eff:
+                        eff[kind] = {
+                            "path": summary.path, "line": line,
+                            "source": source,
                         }
-                if info.writes and "fs-write" not in eff:
-                    write = info.writes[0]
-                    eff["fs-write"] = {
-                        "path": summary.path,
-                        "line": write["line"],
-                        "source": write["kind"],
-                    }
-                edges: list[tuple[str, int, bool, bool]] = []
-                for call in info.calls:
-                    callee = self._resolve(summary, mod, qual, call["name"])
-                    if callee is not None:
-                        edges.append((
-                            callee,
-                            call["line"],
-                            bool(call.get("unordered")),
-                            bool(call.get("clock_dep")),
-                        ))
-                self.edges[key] = edges
-
-    def _resolve(
-        self, summary: "FileSummary", mod: str, qual: str, name: str
-    ) -> str | None:
-        """Resolve one recorded call, including constructor calls
-        (``C(...)`` -> ``module.C.__init__``) the shared graph skips."""
-        graph = self.graph
-        resolved = graph.resolve_call(mod, qual, name)
-        if resolved is not None and resolved in graph.functions:
-            return resolved
-        if name.startswith("self."):
-            return None
-        head, _, tail = name.partition(".")
-        candidates = [f"{mod}.{name}.__init__"]
-        if not tail:
-            imported = summary.imports.get(name)
-            if imported is not None:
-                candidates.append(f"{imported}.__init__")
-        else:
-            imported = summary.imports.get(head)
-            if imported is not None:
-                candidates.append(f"{imported}.{tail}.__init__")
-        for candidate in candidates:
-            if candidate in graph.functions:
-                return candidate
-        return None
 
     def _propagate(self) -> None:
         """Fixpoint: callers inherit their callees' effect kinds.
@@ -290,13 +291,14 @@ class EffectWorld:
         first origin wins), so serial and ``--jobs`` builds — which see
         identical summaries — produce byte-identical worlds.
         """
-        keys = sorted(self.edges)
+        edges = self.graph.edges
+        keys = sorted(edges)
         changed = True
         while changed:
             changed = False
             for key in keys:
                 eff = self.effects[key]
-                for callee, line, _unordered, _clock_dep in self.edges[key]:
+                for callee, line, _clock_dep in edges[key]:
                     callee_eff = self.effects.get(callee)
                     if not callee_eff:
                         continue
@@ -347,23 +349,27 @@ class EffectWorld:
     def taint_records(self) -> list[dict[str, Any]]:
         """R014: entropy reaching a determinism sink, deduplicated to
         one record per (source location, kind) with the most direct
-        sink as witness."""
+        sink as witness.  Every ``repro.*`` function is a sink for
+        ``ambient-rng``: the shared module RNG is never the run's seed."""
         grouped: dict[tuple[str, int, str], dict[str, Any]] = {}
         workers = self.graph.workers
         for key in sorted(self.effects):
             module = self.module_of.get(key, "")
+            kinds = TAINT_KINDS
             if module in TELEMETRY_BOUNDARY:
-                continue
-            if _in_sim_layer(module):
+                sink_what, kinds = "library code", {"ambient-rng"}
+            elif _in_sim_layer(module):
                 sink_what = "simulation state"
             elif _is_fingerprint_root(key, module):
                 sink_what = "cache-key/fingerprint computation"
             elif key in workers and module.startswith("repro."):
                 sink_what = "a pool-worker entry point"
+            elif module.startswith("repro."):
+                sink_what, kinds = "library code", {"ambient-rng"}
             else:
                 continue
             eff = self.effects[key]
-            for kind in sorted(TAINT_KINDS & eff.keys()):
+            for kind in sorted(kinds & eff.keys()):
                 links = self.chain(key, kind)
                 if not links:
                     continue
@@ -395,8 +401,8 @@ class EffectWorld:
         return [grouped[k] for k in sorted(grouped)]
 
     def draw_order_records(self) -> list[dict[str, Any]]:
-        """R015: draws under hash-ordered iteration or entropy-dependent
-        control flow in the simulation layers."""
+        """R015: hash-ordered iteration, and draws under
+        entropy-dependent control flow, in the simulation layers."""
         records: dict[tuple[str, int], dict[str, Any]] = {}
 
         def note(path: str, line: int, context: str, detail: str,
@@ -410,51 +416,71 @@ class EffectWorld:
             module = self.module_of.get(key, "")
             if not _in_sim_layer(module):
                 continue
-            info = self.graph.functions.get(key)
-            if info is None:
-                continue
-            path = self.graph.paths.get(key, "?")
+            info = self.graph.functions[key]
+            path = self.graph.paths[key]
             for event in info.effects:
-                if _event_kind(event) not in DRAW_KINDS:
-                    continue
-                if event.get("unordered"):
+                line = event["line"]
+                if event["kind"] == "set-iter":
                     note(
-                        path, event["line"], "unordered",
-                        f"{key} draws {event.get('source', 'rng')} while "
-                        "iterating a set (hash order)",
-                        [f"{path}:{event['line']} {key}"],
+                        path, line, "unordered",
+                        f"{key} iterates {event['source']} in hash order "
+                        "(process-salted)",
+                        [f"{path}:{line} {key}"],
                     )
-                elif event.get("clock_dep"):
+                elif (
+                    event.get("clock_dep")
+                    and _event_kind(event) in DRAW_KINDS
+                ):
                     note(
-                        path, event["line"], "clock-dep",
+                        path, line, "clock-dep",
                         f"{key} draws {event.get('source', 'rng')} under "
                         "wall-clock/env-dependent control flow",
-                        [f"{path}:{event['line']} {key}"],
+                        [f"{path}:{line} {key}"],
                     )
-            for callee, line, unordered, clock_dep in self.edges[key]:
-                if not (unordered or clock_dep):
-                    continue
-                if not self.has_draw(callee):
+            for callee, line, clock_dep in self.graph.edges[key]:
+                if not (clock_dep and self.has_draw(callee)):
                     continue
                 kind = next(
                     k for k in ("seeded-rng", "ambient-rng")
                     if k in self.effects.get(callee, {})
                 )
                 links = self.chain(callee, kind)
-                context = "unordered" if unordered else "clock-dep"
-                how = (
-                    "while iterating a set (hash order)"
-                    if unordered
-                    else "under wall-clock/env-dependent control flow"
-                )
                 note(
-                    path, line, context,
-                    f"{key} calls {callee} {how}, and {callee} "
-                    "transitively draws from an RNG",
+                    path, line, "clock-dep",
+                    f"{key} calls {callee} under wall-clock/env-dependent "
+                    f"control flow, and {callee} transitively draws from "
+                    "an RNG",
                     [f"{path}:{line} {key}"]
                     + [f"{p}:{ln} {k}" for p, ln, k in links],
                 )
         return [records[k] for k in sorted(records)]
+
+    def race_records(self) -> list[dict[str, Any]]:
+        """R010: every direct ``state-mutation`` / ``fs-write`` site
+        a pool worker can reach, with one worker->site chain."""
+        graph = self.graph
+        reach = graph.worker_reachable()
+        records = []
+        for key in sorted(reach):
+            module = self.module_of[key]
+            summary = graph.modules[module]
+            sites = _direct_sites(graph, summary, graph.functions[key])
+            for kind, line, source in sites:
+                if kind == "fs-write" and module in _WRITE_EXEMPT_MODULES:
+                    continue
+                chain = [f"{summary.path}:{line} {key}"]
+                hop = reach[key]
+                while hop is not None:
+                    caller, call_line = hop
+                    chain.append(f"{graph.paths[caller]}:{call_line} {caller}")
+                    hop = reach[caller]
+                records.append({
+                    "kind": kind, "source": source, "path": summary.path,
+                    "line": line, "function": key,
+                    "chain": list(reversed(chain)),
+                })
+        records.sort(key=lambda r: (r["path"], r["line"], r["source"]))
+        return records
 
     def purity(self) -> dict[str, Any]:
         """R016: the fingerprint frontier and its impurity entries."""
@@ -469,10 +495,7 @@ class EffectWorld:
             if key in frontier:
                 continue
             frontier.add(key)
-            stack.extend(
-                callee for callee, _ln, _u, _c in self.edges.get(key, ())
-                if callee not in frontier
-            )
+            stack.extend(self.graph.callees(key) - frontier)
         entries: dict[str, dict[str, Any]] = {}
         for key in sorted(frontier):
             eff = self.effects.get(key, {})
@@ -510,9 +533,10 @@ def policy_audit(
 ) -> list[dict[str, Any]]:
     """Effect audit of every ``register_policy(name, factory)`` site.
 
-    Registration happens at module level (outside any function), so the
-    summaries do not see it; this walks the file ASTs like R005 does
-    and resolves the factory reference through the project graph.
+    Registration happens at module level; the ``<module>`` summary keeps
+    the call but not its literal policy name, so this walks the file
+    ASTs like R005 does and resolves the factory reference through the
+    project graph.
     """
     import ast
 
@@ -548,7 +572,7 @@ def policy_audit(
             if isinstance(sub, ast.Name):
                 parts.append(sub.id)
             ref = ".".join(reversed(parts))
-            factory_key = world._resolve(summary, module, "", ref)
+            factory_key = graph.resolve_callee(module, "", ref)
             if factory_key is None:
                 continue
             name_node = node.args[0] if node.args else None
@@ -619,6 +643,46 @@ def update_baseline(project: "ProjectContext") -> tuple[Path, set[str]]:
 # -- the rules ---------------------------------------------------------------
 
 
+def _finding(rule: LintRule, path: str, line: int, message: str) -> Finding:
+    return Finding(
+        rule=rule.id, severity=rule.severity, path=path, line=line,
+        col=0, message=message,
+    )
+
+
+@register
+class RaceRule(LintRule):
+    id = "R010"
+    name = "proc-races"
+    rationale = (
+        "pool workers run in child processes: module-global writes and "
+        "raw file writes there are lost or torn, silently, only when a "
+        "sweep runs parallel"
+    )
+    scope = "project"
+
+    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
+        world = effects_world_for(project)
+        for record in world.race_records():
+            if record["kind"] == "fs-write":
+                what = (
+                    f"makes a raw file write ({record['source']}) — "
+                    "concurrent workers tear shared paths; use the atomic "
+                    "helpers in repro.obs.io or write from the parent"
+                )
+            else:
+                what = (
+                    f"mutates module-level state ({record['source']}) — "
+                    "the update happens in the child process and the "
+                    "parent never sees it; return the data instead"
+                )
+            yield _finding(
+                self, record["path"], record["line"],
+                f"cross-process race: {record['function']} runs in pool "
+                f"workers via {' -> '.join(record['chain'])} and {what}",
+            )
+
+
 @register
 class EffectTaintRule(LintRule):
     id = "R014"
@@ -638,8 +702,8 @@ class EffectTaintRule(LintRule):
                 if record["n_sinks"] > 1
                 else ""
             )
-            yield self._at(
-                record["path"], record["line"],
+            yield _finding(
+                self, record["path"], record["line"],
                 f"determinism taint: {record['source']} ({record['kind']}) "
                 f"reaches {record['sink_what']} via "
                 f"{' -> '.join(reversed(record['chain']))} "
@@ -649,19 +713,13 @@ class EffectTaintRule(LintRule):
         for record in policy_audit(project, world):
             for kind in record["taint"]:
                 chain = record["chains"][kind]
-                yield self._at(
-                    record["path"], record["line"],
+                yield _finding(
+                    self, record["path"], record["line"],
                     f"policy factory {record['factory']} (registered "
                     f"as {record['policy']!r}) transitively reads "
                     f"{kind} via {' -> '.join(reversed(chain))} — "
                     "policies run inside the deterministic engine",
                 )
-
-    def _at(self, path: str, line: int, message: str) -> Finding:
-        return Finding(
-            rule=self.id, severity=self.severity, path=path, line=line,
-            col=0, message=message,
-        )
 
 
 @register
@@ -669,23 +727,21 @@ class DrawOrderRule(LintRule):
     id = "R015"
     name = "rng-draw-order"
     rationale = (
-        "RNG draws under set-ordered iteration or clock/env-dependent "
-        "control flow reorder the stream between runs even when seeded"
+        "hash-ordered iteration in the sim layers, and RNG draws under "
+        "clock/env-dependent control flow, reorder events and streams "
+        "between runs even when seeded"
     )
     scope = "project"
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         world = effects_world_for(project)
         for record in world.draw_order_records():
-            yield Finding(
-                rule=self.id, severity=self.severity,
-                path=record["path"], line=record["line"], col=0,
-                message=(
-                    f"rng draw-order hazard: {record['detail']} "
-                    f"[{' -> '.join(record['chain'])}]; iterate a "
-                    "sorted() view or hoist the draw out of the "
-                    "entropy-dependent branch"
-                ),
+            yield _finding(
+                self, record["path"], record["line"],
+                f"order hazard: {record['detail']} "
+                f"[{' -> '.join(record['chain'])}]; iterate a sorted() "
+                "view or hoist the draw out of the entropy-dependent "
+                "branch",
             )
 
 
@@ -707,16 +763,13 @@ class FingerprintPurityRule(LintRule):
             if entry in baseline:
                 continue
             record = purity["entries"][entry]
-            yield Finding(
-                rule=self.id, severity=self.severity,
-                path=record["path"], line=record["line"], col=0,
-                message=(
-                    f"fingerprint impurity: {record['function']} is "
-                    "reachable from cache-key/fingerprint computation "
-                    f"but has effect {record['kind']} via "
-                    f"{' -> '.join(record['chain'])}; make it pure or "
-                    "re-pin with --update-effects-baseline"
-                ),
+            yield _finding(
+                self, record["path"], record["line"],
+                f"fingerprint impurity: {record['function']} is "
+                "reachable from cache-key/fingerprint computation "
+                f"but has effect {record['kind']} via "
+                f"{' -> '.join(record['chain'])}; make it pure or "
+                "re-pin with --update-effects-baseline",
             )
 
 

@@ -12,33 +12,40 @@ Resolution is intentionally static and conservative:
 * ``obj.m(...)`` resolves when ``obj`` was constructed from a known
   class in the same function (``sim = Simulator(...); sim.run()``) or
   when ``obj`` is an imported module;
+* ``C(...)`` resolves to ``C.__init__`` (so policy factories and
+  constructors are part of the reach), and ``partial(f, ...)`` to ``f``;
 * anything else (duck-typed receivers, dynamic dispatch) resolves to
   nothing — the analysis under-approximates the call graph rather than
   inventing edges.
 
 The *worker* analysis rides on top: any function reference passed to
-``run_jobs(...)``, ``*.submit(...)`` or ``functools.partial(...)`` at a
-resolvable call site is a pool-worker entry point, and
-:meth:`ProjectGraph.worker_reachable` is the transitive closure those
-entry points can execute **in a worker process** — the domain the R010
-race detector polices.
+``run_jobs(...)`` or ``*.submit(...)`` at a resolvable call site is a
+pool-worker entry point, and :meth:`ProjectGraph.worker_reachable` is
+the one closure those entry points can execute **in a worker process**
+— the domain the R010 race rule polices, over the same edges the
+effect pass (:mod:`repro.devtools.semantic.effects`) propagates along.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.devtools.semantic.cache import AnalysisCache, content_digest
-from repro.devtools.semantic.summary import FileSummary, FunctionInfo, summarize_file
+from repro.devtools.semantic.summary import (
+    ANALYSIS_VERSION,
+    FileSummary,
+    FunctionInfo,
+    summarize_file,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.context import FileContext
 
 __all__ = [
     "ProjectGraph",
-    "analysis_versions",
     "build_graph",
     "graph_for_project",
 ]
@@ -67,8 +74,11 @@ class ProjectGraph:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: "module.qualname" -> repo-relative path (for findings)
     paths: dict[str, str] = field(default_factory=dict)
-    #: resolved call edges: caller key -> {callee keys}
-    calls: dict[str, set[str]] = field(default_factory=dict)
+    #: resolved call edges in call-site order: caller key ->
+    #: ``[(callee key, call line, clock_dep)]``
+    edges: dict[str, list[tuple[str, int, bool]]] = field(
+        default_factory=dict
+    )
     #: worker entry points: function keys handed to a pool
     workers: set[str] = field(default_factory=set)
     #: cache statistics of the build (hits, misses)
@@ -134,21 +144,50 @@ class ProjectGraph:
             return self.chase(dotted)
         return None
 
+    def resolve_callee(
+        self, module: str, qualname: str, name: str
+    ) -> str | None:
+        """Resolve a recorded call to a definition, including
+        constructor calls (``C(...)`` -> ``module.C.__init__``)."""
+        resolved = self.resolve_call(module, qualname, name)
+        if resolved is not None and resolved in self.functions:
+            return resolved
+        if name.startswith("self."):
+            return None
+        summary = self.modules[module]
+        head, _, tail = name.partition(".")
+        candidates = [f"{module}.{name}.__init__"]
+        imported = summary.imports.get(head)
+        if imported is not None:
+            candidates.append(
+                f"{imported}.{tail}.__init__" if tail
+                else f"{imported}.__init__"
+            )
+        for candidate in candidates:
+            if candidate in self.functions:
+                return candidate
+        return None
+
     # -- worker reachability --------------------------------------------
 
     def callees(self, key: str) -> set[str]:
-        return self.calls.get(key, set())
+        return {callee for callee, _line, _dep in self.edges.get(key, ())}
 
-    def worker_reachable(self) -> set[str]:
-        """Every function the pool-worker entry points can execute."""
-        frontier = list(self.workers)
-        reached: set[str] = set()
-        while frontier:
-            key = frontier.pop()
-            if key in reached:
-                continue
-            reached.add(key)
-            frontier.extend(self.callees(key) - reached)
+    def worker_reachable(self) -> dict[str, tuple[str, int] | None]:
+        """Every function the pool-worker entry points can execute, as
+        a breadth-first parent map: key -> ``(caller key, call line)``
+        it was first reached through (``None`` for an entry point).
+        Deterministic: sorted entry points, edges in call-site order."""
+        reached: dict[str, tuple[str, int] | None] = dict.fromkeys(
+            sorted(self.workers)
+        )
+        queue = deque(reached)
+        while queue:
+            key = queue.popleft()
+            for callee, line, _dep in self.edges.get(key, ()):
+                if callee not in reached:
+                    reached[callee] = (key, line)
+                    queue.append(callee)
         return reached
 
     # -- serialization --------------------------------------------------
@@ -169,8 +208,8 @@ class ProjectGraph:
                 import_edges.append({"from": mod, "to": target})
         call_edges = [
             {"from": caller, "to": callee}
-            for caller in sorted(self.calls)
-            for callee in sorted(self.calls[caller])
+            for caller in sorted(self.edges)
+            for callee in sorted(self.callees(caller))
         ]
         return {
             "modules": sorted(self.modules),
@@ -181,30 +220,6 @@ class ProjectGraph:
             "worker_reachable": sorted(self.worker_reachable()),
             "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
         }
-
-
-def analysis_versions() -> dict[str, int]:
-    """Per-analysis version fingerprint for the :class:`AnalysisCache`.
-
-    Every semantic component whose inputs flow through cached summaries
-    declares an ``ANALYSIS_VERSION``; bumping any of them discards the
-    cache wholesale, so editing a *rule* re-analyzes instead of serving
-    findings computed by its previous self.  (Lazy imports: the rule
-    modules import this one.)
-    """
-    from repro.devtools.semantic import (
-        clockdomains, effects, lifecycle, races, summary, typedcore, units,
-    )
-
-    return {
-        "summary": summary.ANALYSIS_VERSION,
-        "lifecycle": lifecycle.ANALYSIS_VERSION,
-        "races": races.ANALYSIS_VERSION,
-        "typedcore": typedcore.ANALYSIS_VERSION,
-        "units": units.ANALYSIS_VERSION,
-        "clockdomains": clockdomains.ANALYSIS_VERSION,
-        "effects": effects.ANALYSIS_VERSION,
-    }
 
 
 def _summarize_source_job(spec: tuple[str, str, str]) -> dict:
@@ -316,13 +331,14 @@ def build_graph(
     # Resolve call edges and worker registrations.
     for mod, summary in graph.modules.items():
         for qual, info in summary.functions.items():
-            caller = f"{mod}.{qual}"
-            edges = graph.calls.setdefault(caller, set())
+            edges = graph.edges.setdefault(f"{mod}.{qual}", [])
             for call in info.calls:
                 name = call["name"]
+                line, clock_dep = call["line"], bool(call.get("clock_dep"))
+                callee = graph.resolve_callee(mod, qual, name)
+                if callee is not None:
+                    edges.append((callee, line, clock_dep))
                 resolved = graph.resolve_call(mod, qual, name)
-                if resolved is not None and resolved in graph.functions:
-                    edges.add(resolved)
                 tail = name.split(".")[-1]
                 is_partial = tail == "partial"
                 is_sink = (
@@ -341,7 +357,7 @@ def build_graph(
                 if is_partial:
                     # partial(f, ...) runs f wherever the partial runs:
                     # keep it as an ordinary call edge.
-                    edges.add(worker_ref)
+                    edges.append((worker_ref, line, clock_dep))
                 else:
                     graph.workers.add(worker_ref)
     return graph
@@ -364,7 +380,7 @@ def graph_for_project(project: Any) -> ProjectGraph:
     else:
         cache_path = project.root / CACHE_RELPATH
     cache = (
-        AnalysisCache(cache_path, versions=analysis_versions())
+        AnalysisCache(cache_path, versions={"summary": ANALYSIS_VERSION})
         if cache_path is not None
         else None
     )

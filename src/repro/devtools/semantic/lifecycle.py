@@ -58,10 +58,7 @@ from repro.devtools.context import FileContext
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
 
-__all__ = ["ANALYSIS_VERSION", "EngineAnalysis", "analyze_engine", "LifecycleRule"]
-
-#: Version of the lifecycle analysis; part of the AnalysisCache key.
-ANALYSIS_VERSION = 1
+__all__ = ["EngineAnalysis", "analyze_engine", "LifecycleRule"]
 
 #: The module the stage machine lives in.
 ENGINE_MODULE = "repro.sim.engine"

@@ -9,10 +9,12 @@ can key it by content hash):
   builder chases through package facades;
 * every function/method definition, with the calls it makes, the
   function references it passes as arguments (``run_jobs(worker, ...)``,
-  ``partial(f, ...)``), the module-level names it mutates, and the file
-  writes it performs;
+  ``partial(f, ...)``), the module-level names it mutates, the file
+  writes it performs, and its effect events — plus one ``<module>``
+  pseudo-function (:data:`MODULE_QUALNAME`) holding the statements
+  outside any ``def`` (module level and class bodies);
 * the module-level *mutable* bindings (dict/list/set displays and
-  constructor calls) — the state the R010 race detector cares about.
+  constructor calls) — the state the R010 race rule cares about.
 
 Resolution is deliberately deferred: a summary records ``self.foo`` and
 ``mod.bar`` textually; :mod:`repro.devtools.semantic.graph` resolves
@@ -28,22 +30,29 @@ from typing import Any
 
 __all__ = [
     "ANALYSIS_VERSION",
+    "MODULE_QUALNAME",
     "FileSummary",
     "FunctionInfo",
     "extract_unit_sigs",
     "summarize_file",
 ]
 
-#: Version of the summary extraction itself; part of the AnalysisCache
-#: key (see :mod:`repro.devtools.semantic.cache`), so changing what a
-#: summary records re-summarizes every file instead of serving stale
-#: cached documents.
+#: Version of the summary extraction; the AnalysisCache key (see
+#: :mod:`repro.devtools.semantic.cache`), so changing what a summary
+#: records re-summarizes every file instead of serving stale cached
+#: documents.
 #:
 #: v3: per-function *effect events* (RNG draws tagged with stream
-#: origin, wall-clock/entropy/env reads, unordered-iteration and
-#: clock-dependent-control-flow context flags) for the R014–R016
-#: effect-inference pass (:mod:`repro.devtools.semantic.effects`).
-ANALYSIS_VERSION = 3
+#: origin, wall-clock/entropy/env reads, clock-dependent-control-flow
+#: context flags) for the effect pass
+#: (:mod:`repro.devtools.semantic.effects`).
+#: v4: the ``<module>`` pseudo-function; hash-ordered iterations are
+#: ``set-iter`` events instead of ``unordered`` flags on draws/calls.
+ANALYSIS_VERSION = 4
+
+#: Qualname of the pseudo-function holding a file's module-level and
+#: class-body statements.
+MODULE_QUALNAME = "<module>"
 
 #: Methods that mutate their receiver in place (dict/list/set/deque).
 _MUTATING_METHODS = frozenset({
@@ -131,8 +140,9 @@ def _looks_like_rng(receiver: str) -> bool:
 class FunctionInfo:
     """One function or method definition, flattened.
 
-    ``qualname`` is ``"f"`` for module-level functions and
-    ``"Class.method"`` for methods.  Events from *nested* functions are
+    ``qualname`` is ``"f"`` for module-level functions,
+    ``"Class.method"`` for methods and :data:`MODULE_QUALNAME` for the
+    file's import-time code.  Events from *nested* functions are
     folded into the enclosing definition: for reachability purposes the
     outer function is the unit that runs.
     """
@@ -151,12 +161,12 @@ class FunctionInfo:
     #: file-writing operations: ``{"kind": "open" | "write_text" |
     #: "write_bytes", "line": int}``
     writes: list[dict[str, Any]] = field(default_factory=list)
-    #: effect events (v3): ``{"kind": "clock" | "entropy" | "env",
-    #: "source": "time.time", "line": int}`` and ``{"kind": "rng-draw",
-    #: "stream": "seeded" | "ambient" | "system" | "attr", ...}``.
-    #: Events carry ``"unordered": true`` when they fire inside
-    #: set-ordered iteration and ``"clock_dep": true`` under wall-clock/
-    #: env-dependent control flow; call records get the same flags.
+    #: effect events: ``{"kind": "clock" | "entropy" | "env",
+    #: "source": "time.time", "line": int}``, ``{"kind": "rng-draw",
+    #: "stream": "seeded" | "ambient" | "system" | "attr", ...}`` and
+    #: ``{"kind": "set-iter", "source": "set(ids)", ...}`` for every
+    #: hash-ordered iteration.  Events and call records carry
+    #: ``"clock_dep": true`` under wall-clock/env-dependent control flow.
     effects: list[dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
@@ -291,9 +301,7 @@ class _FunctionWalker(ast.NodeVisitor):
         self._rng_locals: dict[str, str] = {}
         #: locals bound to set displays/constructors (hash-ordered).
         self._set_locals: set[str] = set()
-        #: >0 while visiting code that runs per-element of set-ordered
-        #: iteration / under entropy-dependent control flow.
-        self._unordered = 0
+        #: >0 while visiting code under entropy-dependent control flow.
         self._clock_dep = 0
 
     def _normalize(self, name: str) -> str:
@@ -388,7 +396,7 @@ class _FunctionWalker(ast.NodeVisitor):
             self._note_store(target)
         self.generic_visit(node)
 
-    # -- control-flow context (R015) -----------------------------------
+    # -- iteration order and control-flow context (R015) ---------------
 
     def _iter_is_unordered(self, node: ast.expr) -> bool:
         """Does iterating ``node`` visit elements in hash order?"""
@@ -430,15 +438,15 @@ class _FunctionWalker(ast.NodeVisitor):
                     return True
         return False
 
+    def _note_iteration(self, iterable: ast.expr, line: int) -> None:
+        if self._iter_is_unordered(iterable):
+            self._note_event(
+                {"kind": "set-iter", "source": ast.unparse(iterable)}, line
+            )
+
     def visit_For(self, node: ast.For) -> None:
-        self.visit(node.iter)
-        unordered = self._iter_is_unordered(node.iter)
-        if unordered:
-            self._unordered += 1
-        for stmt in (*node.body, *node.orelse):
-            self.visit(stmt)
-        if unordered:
-            self._unordered -= 1
+        self._note_iteration(node.iter, node.lineno)
+        self.generic_visit(node)
 
     def _visit_branch(self, node: ast.If | ast.While) -> None:
         self.visit(node.test)
@@ -453,39 +461,16 @@ class _FunctionWalker(ast.NodeVisitor):
     visit_If = _visit_branch
     visit_While = _visit_branch
 
-    def _visit_comprehension(
-        self,
-        node: ast.ListComp | ast.SetComp | ast.GeneratorExp | ast.DictComp,
-    ) -> None:
-        unordered = any(
-            self._iter_is_unordered(gen.iter) for gen in node.generators
-        )
-        for gen in node.generators:
-            self.visit(gen.iter)
-        if unordered:
-            self._unordered += 1
-        for gen in node.generators:
-            for cond in gen.ifs:
-                self.visit(cond)
-        if isinstance(node, ast.DictComp):
-            self.visit(node.key)
-            self.visit(node.value)
-        else:
-            self.visit(node.elt)
-        if unordered:
-            self._unordered -= 1
+    visit_AsyncFor = visit_For
 
-    visit_ListComp = _visit_comprehension
-    visit_SetComp = _visit_comprehension
-    visit_GeneratorExp = _visit_comprehension
-    visit_DictComp = _visit_comprehension
+    def visit_comprehension(self, node: ast.comprehension) -> None:
+        self._note_iteration(node.iter, node.iter.lineno)
+        self.generic_visit(node)
 
     # -- effect events (R014-R016) -------------------------------------
 
     def _note_event(self, event: dict[str, Any], line: int) -> None:
         event["line"] = line
-        if self._unordered:
-            event["unordered"] = True
         if self._clock_dep:
             event["clock_dep"] = True
         self.info.effects.append(event)
@@ -577,8 +562,6 @@ class _FunctionWalker(ast.NodeVisitor):
             record: dict[str, Any] = {
                 "name": name, "line": node.lineno, "arg_refs": arg_refs,
             }
-            if self._unordered:
-                record["unordered"] = True
             if self._clock_dep:
                 record["clock_dep"] = True
             self.info.calls.append(record)
@@ -608,6 +591,36 @@ def _walk_definition(
     walker = _FunctionWalker(info, class_names, imports)
     for stmt in node.body:
         walker.visit(stmt)
+    return info
+
+
+def _walk_module(
+    tree: ast.Module, class_names: set[str], imports: dict[str, str]
+) -> FunctionInfo:
+    """The ``<module>`` pseudo-function: every statement that runs at
+    import time — module level, class bodies, decorators, base classes
+    and default values — with the ``def`` bodies left to their own
+    :class:`FunctionInfo`."""
+    info = FunctionInfo(qualname=MODULE_QUALNAME, lineno=1)
+    walker = _FunctionWalker(info, class_names, imports)
+
+    def walk(body: list[ast.stmt]) -> None:
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = stmt.args
+                for expr in (*stmt.decorator_list, *args.defaults,
+                             *args.kw_defaults):
+                    if expr is not None:
+                        walker.visit(expr)
+            elif isinstance(stmt, ast.ClassDef):
+                for expr in (*stmt.decorator_list, *stmt.bases,
+                             *(kw.value for kw in stmt.keywords)):
+                    walker.visit(expr)
+                walk(stmt.body)
+            else:
+                walker.visit(stmt)
+
+    walk(tree.body)
     return info
 
 
@@ -754,5 +767,7 @@ def summarize_file(module: str, path: str, tree: ast.Module) -> FileSummary:
                         sub, qual, class_names, summary.imports
                     )
             summary.classes[stmt.name] = methods
-
+    summary.functions[MODULE_QUALNAME] = _walk_module(
+        tree, class_names, summary.imports
+    )
     return summary

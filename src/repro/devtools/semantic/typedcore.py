@@ -34,10 +34,7 @@ from repro.devtools.registry import LintRule, register
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.context import FileContext
 
-__all__ = ["ANALYSIS_VERSION", "TypedCoreRule", "TYPED_PACKAGES"]
-
-#: Version of the typed-core analysis; part of the AnalysisCache key.
-ANALYSIS_VERSION = 1
+__all__ = ["TypedCoreRule", "TYPED_PACKAGES"]
 
 #: The packages whose public surface must be fully annotated.
 TYPED_PACKAGES = ("repro.sim", "repro.exec")

@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Any
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import LintRule, register
 from repro.devtools.semantic.graph import ProjectGraph, graph_for_project
+from repro.devtools.semantic.summary import MODULE_QUALNAME
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devtools.context import ProjectContext
@@ -63,10 +64,9 @@ __all__ = [
     "units_graph_doc",
 ]
 
-#: Version of the unit-inference pass; participates in the
-#: AnalysisCache key so editing this analysis invalidates cached
-#: summaries (the harvested ``unit_sigs``) instead of serving stale
-#: results.
+#: Version of the unit-inference pass, published in
+#: ``units_graph.json``.  (The harvested ``unit_sigs`` are part of the
+#: summary, versioned by ``summary.ANALYSIS_VERSION``.)
 ANALYSIS_VERSION = 1
 
 #: Module prefixes whose files are unit-checked.
@@ -1117,7 +1117,6 @@ class UnitConfusionRule(LintRule):
     )
     severity = Severity.ERROR
     scope = "project"
-    analysis_version = ANALYSIS_VERSION
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
         for uf in units_analysis(project)["findings"]:
@@ -1178,7 +1177,7 @@ def units_graph_doc(project: "ProjectContext") -> dict[str, Any]:
             }
             if rendered:
                 cls_doc[cls] = rendered
-        n_fns = len(summary.functions)
+        n_fns = len(summary.functions.keys() - {MODULE_QUALNAME})
         total_fns += n_fns
         annotated_fns += len(fn_doc)
         modules[module] = {

@@ -1,4 +1,4 @@
-"""In-source suppression comments: ``# repro: noqa[R001]``.
+"""In-source suppression comments: ``# repro: noqa[R002]``.
 
 A suppression applies to findings on its own line, and — when it sits
 on the header line of a multi-line statement — to that statement's
@@ -6,17 +6,17 @@ continuation lines as well (:func:`expand_statement_suppressions`), so
 
 .. code-block:: python
 
-    value = compute(  # repro: noqa[R001]
-        seed=time.time(),
+    ok = (  # repro: noqa[R002]
+        ratio == 0.5
     )
 
-silences an R001 reported on the ``time.time()`` line.  For compound
+silences an R002 reported on the ``ratio == 0.5`` line.  For compound
 statements (``if``/``for``/``def``/…) the extent covers only the
 *header* (through the line before the first body statement): a noqa on
 ``if cond:`` never silences the block under it.
 
 The bare form ``# repro: noqa`` silences every rule; the bracketed form
-``# repro: noqa[R001]`` (or ``[R001,R004]``) silences only the listed
+``# repro: noqa[R002]`` (or ``[R002,R004]``) silences only the listed
 rules.  The distinct ``repro:`` prefix keeps these orthogonal to
 flake8/ruff ``# noqa`` comments, so suppressing one tool never
 accidentally silences the other.

@@ -7,7 +7,7 @@ One :class:`Tracer` collects every event of a run:
 * **sim-layer** events (per-window EB/BW/CMR counters, PBS decisions,
   probe samples) are stamped in *simulated cycles* — they come out of
   deterministic simulation state, so traced runs stay byte-identical to
-  untraced ones (lint rule R001).
+  untraced ones (lint rule R014).
 
 The span hierarchy mirrors the execution structure::
 
@@ -121,7 +121,7 @@ class Tracer:
 
     Wall-clock spans are measured with ``time.perf_counter`` *inside
     this module* — callers in the simulation layers never read the
-    clock themselves, which keeps them R001-clean.
+    clock themselves, which keeps them R014-clean.
 
     With a ``path`` the tracer also streams every event to that JSONL
     log as it is recorded.  Events may come from several threads (the

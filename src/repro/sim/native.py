@@ -237,7 +237,7 @@ def build(sim: "Simulator") -> "NativeEngine | None":
             specs.append(spec)
     # Row layout: see WarpAddressStream.native_spec.  Every address is
     # below a stream's or shared region's end plus one coalesced group.
-    rows = {spec[1] for spec in specs}
+    rows = [spec[1] for spec in specs]
     streams = {id(spec[2]): spec[2] for spec in specs}.values()
     if any(min(r[0], r[6], r[7], r[9], r[10], r[12]) < 1 for r in rows):
         return None

@@ -4,7 +4,7 @@ Each :class:`GoldenCase` pins one (config, workload, scheme, seed)
 combination; its recorded :class:`~repro.sim.SimResult` lives as JSON
 under ``tests/golden/``.  The engine is required to reproduce every
 fixture with **exact float equality** — determinism is a repo invariant
-(lint rule R001), so any divergence after an engine change is a bug in
+(lint rules R014/R015), so any divergence after an engine change is a bug in
 the change, not noise.
 
 The matrix deliberately walks every dispatch path of the hot loop:

@@ -46,10 +46,10 @@ def rules_of(findings: list[Finding]) -> set[str]:
 
 
 class TestFramework:
-    def test_registry_has_all_sixteen_rules(self):
+    def test_registry_has_all_fifteen_rules(self):
         ids = [r.id for r in all_rules()]
         assert ids == [
-            "R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008",
+            "R002", "R003", "R004", "R005", "R006", "R007", "R008",
             "R009", "R010", "R011", "R012", "R013", "R014", "R015", "R016",
         ]
 
@@ -58,7 +58,7 @@ class TestFramework:
             all_rules(["R999"])
 
     def test_select_unknown_rule_names_valid_ids(self):
-        with pytest.raises(ValueError, match=r"valid: R001.*R016"):
+        with pytest.raises(ValueError, match=r"valid: R002.*R016"):
             all_rules(["R999"])
 
     def test_module_name_mapping(self):
@@ -79,7 +79,7 @@ class TestFramework:
         assert [f.path for f in findings] == ["src/repro/a.py", "src/repro/b.py"]
         rendered = findings[0].render()
         assert rendered.startswith("src/repro/a.py:2:")
-        assert "R001" in rendered
+        assert "R014" in rendered
 
     def test_syntax_error_reported_not_crash(self, tmp_path):
         findings = lint_tree(tmp_path, {"src/repro/bad.py": "def f(:\n"})
@@ -88,74 +88,95 @@ class TestFramework:
 
 
 class TestSuppressions:
+    # R014 is a justified rule: its noqa takes effect only with a
+    # ``-- reason`` tail.
     def test_bare_noqa_silences_all(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {"src/repro/a.py": "import random\nx = random.random()  # repro: noqa\n"},
-        )
-        assert findings == []
+        src = "import random\nx = random.random()  # repro: noqa -- fixture\n"
+        assert lint_tree(tmp_path, {"src/repro/a.py": src}) == []
 
     def test_rule_scoped_noqa(self, tmp_path):
-        src = "import random\nx = random.random()  # repro: noqa[R001]\n"
+        src = "import random\nx = random.random()  # repro: noqa[R014] -- fixture\n"
         assert lint_tree(tmp_path, {"src/repro/a.py": src}) == []
 
     def test_wrong_rule_id_does_not_silence(self, tmp_path):
-        src = "import random\nx = random.random()  # repro: noqa[R002]\n"
-        assert rules_of(lint_tree(tmp_path, {"src/repro/a.py": src})) == {"R001"}
+        src = "import random\nx = random.random()  # repro: noqa[R002] -- fixture\n"
+        assert rules_of(lint_tree(tmp_path, {"src/repro/a.py": src})) == {"R014"}
 
     def test_parser_units(self):
         supp = line_suppressions(
-            ["x = 1", "y  # repro: noqa[R001, R004]", "z  # repro: noqa"]
+            ["x = 1", "y  # repro: noqa[R014, R004]", "z  # repro: noqa"]
         )
-        assert supp[2] == frozenset({"R001", "R004"})
+        assert supp[2] == frozenset({"R014", "R004"})
         assert supp[3] == frozenset({"*"})
         f = Finding("R003", Severity.ERROR, "p", 2, 0, "m")
         assert filter_suppressed([f], supp) == [f]  # R003 not listed
 
 
-# --- R001 determinism ---------------------------------------------------------
+# --- R001's cases, now held by the effect pass ---------------------------------
 
 
 class TestR001Determinism:
+    """The cases the retired per-file rule R001 caught, each now caught
+    by the whole-program effect pass (R014 taint, R015 order hazards)."""
+
+    SELECT = ["R014", "R015"]
+
     def test_flags_module_level_random(self, tmp_path):
         findings = lint_tree(
             tmp_path,
-            {"src/repro/foo.py": "import random\nx = random.randint(0, 3)\n"},
-            select=["R001"],
+            {"src/repro/foo.py": "import random\nx = random.random()\n"},
+            select=self.SELECT,
         )
-        assert rules_of(findings) == {"R001"}
-        assert "unseeded" in findings[0].message
+        assert [(f.rule, f.line) for f in findings] == [("R014", 2)]
+        assert "ambient-rng" in findings[0].message
 
     def test_flags_from_random_import(self, tmp_path):
+        # The bare import is not a finding; the draw through the alias is.
+        src = "from random import choice\ndef pick(xs):\n    return choice(xs)\n"
         findings = lint_tree(
-            tmp_path,
-            {"src/repro/foo.py": "from random import choice\n"},
-            select=["R001"],
+            tmp_path, {"src/repro/foo.py": src}, select=self.SELECT
         )
-        assert rules_of(findings) == {"R001"}
+        assert [(f.rule, f.line) for f in findings] == [("R014", 3)]
+        assert "random.choice" in findings[0].message
 
     def test_flags_numpy_global_rng(self, tmp_path):
         findings = lint_tree(
             tmp_path,
             {"src/repro/foo.py": "import numpy as np\nx = np.random.rand(3)\n"},
-            select=["R001"],
+            select=self.SELECT,
         )
-        assert rules_of(findings) == {"R001"}
+        assert [(f.rule, f.line) for f in findings] == [("R014", 2)]
 
     def test_flags_wall_clock_in_sim(self, tmp_path):
         findings = lint_tree(
             tmp_path,
             {"src/repro/sim/foo.py": "import time\nt0 = time.time()\n"},
-            select=["R001"],
+            select=self.SELECT,
         )
-        assert rules_of(findings) == {"R001"}
+        assert [(f.rule, f.line) for f in findings] == [("R014", 2)]
         assert "time.time" in findings[0].message
 
     def test_flags_bare_set_iteration_in_sim(self, tmp_path):
         src = "def f(xs):\n    for x in set(xs):\n        print(x)\n"
-        findings = lint_tree(tmp_path, {"src/repro/core/foo.py": src}, select=["R001"])
-        assert rules_of(findings) == {"R001"}
-        assert "process-salted" in findings[0].message
+        findings = lint_tree(
+            tmp_path, {"src/repro/core/foo.py": src}, select=self.SELECT
+        )
+        assert [(f.rule, f.line) for f in findings] == [("R015", 2)]
+        assert "hash order" in findings[0].message
+
+    def test_flags_ambient_rng_in_obs_helpers(self, tmp_path):
+        # No sink calls either helper; a telemetry-boundary module is no
+        # exemption for the shared module RNG.
+        helper = "import random\ndef jitter():\n    return random.random()\n"
+        findings = lint_tree(
+            tmp_path,
+            {"src/repro/obs/viz.py": helper, "src/repro/obs/trace.py": helper},
+            select=self.SELECT,
+        )
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("R014", "src/repro/obs/trace.py", 3),
+            ("R014", "src/repro/obs/viz.py", 3),
+        ]
 
     def test_clean_seeded_rng_and_sorted_set(self, tmp_path):
         src = (
@@ -165,12 +186,24 @@ class TestR001Determinism:
             "    for x in sorted(set(xs)):\n"
             "        rng.random()\n"
         )
-        assert lint_tree(tmp_path, {"src/repro/sim/foo.py": src}, select=["R001"]) == []
+        assert lint_tree(
+            tmp_path, {"src/repro/sim/foo.py": src}, select=self.SELECT
+        ) == []
+
+    def test_seeded_numpy_bit_generator_is_clean(self, tmp_path):
+        src = (
+            "import numpy as np\n"
+            "def gen(seed):\n"
+            "    return np.random.Generator(np.random.MT19937(seed))\n"
+        )
+        assert lint_tree(tmp_path, {"src/repro/workloads/foo.py": src}) == []
 
     def test_wall_clock_fine_outside_sim_layers(self, tmp_path):
-        # scripts time themselves; only sim/core/workloads are banned
-        src = "import time\nt0 = time.time()\n"
-        assert lint_tree(tmp_path, {"scripts/bench.py": src}, select=["R001"]) == []
+        # scripts time themselves; tests and scripts are never sinks
+        src = "import random, time\nt0 = time.time()\nx = random.random()\n"
+        assert lint_tree(
+            tmp_path, {"scripts/bench.py": src}, select=self.SELECT
+        ) == []
 
 
 # --- R002 float equality ------------------------------------------------------
@@ -641,7 +674,7 @@ class TestLintCLI:
         code = main([str(tmp_path), "--root", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "src/repro/bad.py:2" in out and "R001" in out
+        assert "src/repro/bad.py:2" in out and "R014" in out
 
     def test_json_output(self, tmp_path, capsys):
         bad = tmp_path / "src" / "repro" / "bad.py"
@@ -652,13 +685,14 @@ class TestLintCLI:
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["errors"] == 1
-        assert payload["findings"][0]["rule"] == "R001"
+        assert payload["findings"][0]["rule"] == "R014"
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R001", "R002", "R003", "R004", "R005", "R006", "R007"):
+        for rule_id in ("R002", "R003", "R004", "R005", "R006", "R007"):
             assert rule_id in out
+        assert "R001" not in out
 
     def test_missing_path_is_usage_error(self, capsys):
         assert main(["no/such/path"]) == 2
@@ -673,7 +707,7 @@ class TestLintCLI:
     def test_each_rule_fires_on_seeded_violation(self, tmp_path):
         """One seeded violation per rule: the linter must catch all seven."""
         seeded = {
-            "src/repro/sim/r1.py": "import time\nt = time.time()\n",
+            "src/repro/sim/r14.py": "import time\nt = time.time()\n",
             "src/repro/core/r7.py": "def f(x):\n    print(x)\n",
             "src/repro/r2.py": "def f(x):\n    return x == 1.0\n",
             "src/repro/experiments/r4.py": "import repro.sim.engine\n",
@@ -698,5 +732,5 @@ class TestLintCLI:
         engine.write_text(engine.read_text() + "    extra: int\n")
         findings = lint_paths([tmp_path], root=tmp_path)
         assert rules_of(findings) >= {
-            "R001", "R002", "R003", "R004", "R005", "R006", "R007",
+            "R002", "R003", "R004", "R005", "R006", "R007", "R014",
         }

@@ -1,16 +1,20 @@
-"""Tests for repro.devtools.semantic.effects: R014-R016.
+"""Tests for repro.devtools.semantic.effects: R014-R016 (and R010's
+real-tree gate; its fixture cases live in test_semantic.py).
 
-Covers the v3 summary effect events (stream classification, context
-flags), transitive propagation over the call graph (including
-constructor edges and the telemetry boundary), the three rules on
-known-bad/known-clean fixture trees, the noqa-justification convention,
-the R016 baseline ratchet, serial-vs-``--jobs`` byte identity, the
-AnalysisCache corrupt-entry hardening, the ``effects_graph.json``
-artifact, and the real-tree mutation gates: a ``time.time()`` seed
+Covers the summary effect events (stream classification, hash-ordered
+iteration, clock-dependent context), transitive propagation over the
+call graph (including constructor edges and the telemetry boundary),
+the three rules on known-bad/known-clean fixture trees, the
+noqa-justification convention, the R016 baseline ratchet,
+serial-vs-``--jobs`` byte identity, the AnalysisCache corrupt-entry
+hardening, the ``effects_graph.json`` artifact, and the real-tree
+mutation gates, each pinned to file:line: a ``time.time()`` seed
 injected into ``experiments/common.py`` trips R014 through two call
-hops, a set-iteration draw in ``arrivals.py`` trips R015, and an env
-read reachable from ``_fingerprint`` trips R016 — each pinned to
-file:line.
+hops, a set-iteration in ``arrivals.py`` trips R015, an env read
+reachable from ``_fingerprint`` trips R016, a module-global append in
+``run_sim_job`` trips R010, a module-level ``random.random()`` in
+``sim/dram.py`` trips R014, and a no-draw set loop in ``sim/engine.py``
+trips R015.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.devtools.semantic.effects import (
     DrawOrderRule,
     EffectTaintRule,
     FingerprintPurityRule,
+    RaceRule,
     effects_graph_doc,
     effects_world_for,
     update_baseline,
@@ -39,6 +44,9 @@ from repro.devtools.semantic.summary import summarize_file
 REPO_ROOT = Path(__file__).resolve().parents[1]
 COMMON_PATH = REPO_ROOT / "src" / "repro" / "experiments" / "common.py"
 ARRIVALS_PATH = REPO_ROOT / "src" / "repro" / "workloads" / "arrivals.py"
+JOBS_PATH = REPO_ROOT / "src" / "repro" / "exec" / "jobs.py"
+DRAM_PATH = REPO_ROOT / "src" / "repro" / "sim" / "dram.py"
+ENGINE_PATH = REPO_ROOT / "src" / "repro" / "sim" / "engine.py"
 
 
 def lint_tree(tmp_path: Path, files: dict[str, str], select=None,
@@ -148,8 +156,11 @@ class TestEffectEvents:
             "        out.append(rng.random())\n"
             "    return out\n"
         )
-        (event,) = summarize(src).functions["f"].effects
-        assert event["stream"] == "attr" and event.get("unordered") is True
+        set_iter, draw = summarize(src).functions["f"].effects
+        assert set_iter == {
+            "kind": "set-iter", "source": "{1, 2, 3}", "line": 4,
+        }
+        assert draw["stream"] == "attr" and draw["line"] == 5
 
     def test_annassign_set_local_tracked(self):
         src = (
@@ -157,8 +168,10 @@ class TestEffectEvents:
             "    live: set = set(range(n))\n"
             "    return [rng.random() for x in live]\n"
         )
-        (event,) = summarize(src).functions["f"].effects
-        assert event.get("unordered") is True
+        effects = summarize(src).functions["f"].effects
+        (set_iter,) = [e for e in effects if e["kind"] == "set-iter"]
+        assert set_iter["line"] == 3
+        assert set_iter["source"] == "live"
 
     def test_clock_dep_flag_on_branch(self):
         src = (
@@ -190,7 +203,7 @@ class TestEffectEvents:
             "    return [rng.random() for x in sorted(live)]\n"
         )
         (event,) = summarize(src).functions["f"].effects
-        assert "unordered" not in event
+        assert event["kind"] == "rng-draw"
 
     def test_effects_round_trip_through_dict(self):
         src = "import time\ndef f():\n    return time.time()\n"
@@ -376,9 +389,9 @@ class TestR015:
         }
         findings = lint_tree(tmp_path, files, select=["R015"])
         assert [(f.path, f.line) for f in findings] == [
-            ("src/repro/sim/init.py", 5)
+            ("src/repro/sim/init.py", 4)
         ]
-        assert "transitively draws" in findings[0].message
+        assert "hash order" in findings[0].message
 
     def test_draw_under_clock_branch(self, tmp_path):
         files = {
@@ -656,12 +669,7 @@ class TestRealTreeMutations:
         )
         findings = list(DrawOrderRule().check_project(project))
         lines = mutated.splitlines()
-        expected_line = (
-            lines.index(
-                "            t = max(1, int(rng.expovariate(1.0 / mean_lifetime)))"
-            )
-            + 1
-        )
+        expected_line = lines.index("        for app_id in set(live):") + 1
         assert [(f.path, f.line) for f in findings] == [
             ("src/repro/workloads/arrivals.py", expected_line)
         ]
@@ -702,6 +710,72 @@ class TestRealTreeMutations:
             (f.path, f.line) for f in findings
         }
         assert all("env" in f.message for f in findings)
+
+
+    def test_r010_global_append_in_run_sim_job_trips(self, tmp_path):
+        # Worker detection needs the callers of run_jobs, so this one
+        # lints the whole shipped src/ tree with jobs.py mutated.
+        source = JOBS_PATH.read_text()
+        needle = "    initial = {a: job.combo[a] for a in range(len(job.apps))}\n"
+        assert needle in source, "jobs.py changed: update the mutation seed"
+        mutated = source.replace(
+            '__all__ = ["SimJob"', '_SEEN = []\n__all__ = ["SimJob"', 1
+        ).replace(needle, "    _SEEN.append(job.seed)\n" + needle, 1)
+        files = {
+            str(p.relative_to(REPO_ROOT)): p.read_text()
+            for p in sorted((REPO_ROOT / "src").rglob("*.py"))
+        }
+        files["src/repro/exec/jobs.py"] = mutated
+        project = contexts_for(tmp_path, files)
+        expected_line = mutated.splitlines().index(
+            "    _SEEN.append(job.seed)"
+        ) + 1
+        findings = [
+            f for f in RaceRule().check_project(project)
+            if f.path == "src/repro/exec/jobs.py"
+        ]
+        assert [f.line for f in findings] == [expected_line]
+        assert "repro.exec.jobs.run_sim_job runs in pool workers" in (
+            findings[0].message
+        )
+
+    def test_r014_module_level_random_in_dram_trips(self, tmp_path):
+        source = DRAM_PATH.read_text()
+        needle = "from repro.units import Cycles\n"
+        assert needle in source, "dram.py changed: update the mutation seed"
+        mutated = source.replace(
+            needle, needle + "import random\n_JITTER = random.random()\n", 1
+        )
+        project = self._project_for(tmp_path, "src/repro/sim/dram.py", mutated)
+        findings = list(EffectTaintRule().check_project(project))
+        expected_line = mutated.splitlines().index(
+            "_JITTER = random.random()"
+        ) + 1
+        assert [(f.path, f.line) for f in findings] == [
+            ("src/repro/sim/dram.py", expected_line)
+        ]
+        assert "random.random (ambient-rng)" in findings[0].message
+
+    def test_r015_no_draw_set_loop_in_engine_trips(self, tmp_path):
+        source = ENGINE_PATH.read_text()
+        needle = "        self._ran = True\n"
+        assert source.count(needle) == 1, (
+            "engine.py changed: update the mutation seed"
+        )
+        mutated = source.replace(
+            needle, needle + "        for _app in {0, 1}:\n            pass\n"
+        )
+        project = self._project_for(
+            tmp_path, "src/repro/sim/engine.py", mutated
+        )
+        findings = list(DrawOrderRule().check_project(project))
+        expected_line = mutated.splitlines().index(
+            "        for _app in {0, 1}:"
+        ) + 1
+        assert [(f.path, f.line) for f in findings] == [
+            ("src/repro/sim/engine.py", expected_line)
+        ]
+        assert "hash order" in findings[0].message
 
 
 # --- effects_graph.json -------------------------------------------------------
@@ -785,7 +859,7 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown rule ids: R999" in err
-        assert "R001" in err and "R016" in err
+        assert "R002" in err and "R016" in err
 
     def test_update_effects_baseline_flag(self, tmp_path, capsys):
         (tmp_path / "pyproject.toml").touch()

@@ -5,7 +5,7 @@ The fixtures under ``tests/golden/`` were recorded before the
 transaction/calendar-queue hot-path refactor; any engine change that
 alters a single event's ordering or a single float shows up here as a
 hard failure.  Exact ``==`` on floats is deliberate — determinism is a
-repo invariant (R001), so divergence is an engine bug, not noise.
+repo invariant (R014/R015), so divergence is an engine bug, not noise.
 
 ``scripts/regen_golden.py`` rewrites the fixtures when a *semantic*
 change is intended (and ``--check`` verifies them standalone).

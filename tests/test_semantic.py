@@ -26,7 +26,7 @@ from repro.devtools.semantic.cache import (
 )
 from repro.devtools.semantic.graph import build_graph, graph_for_project
 from repro.devtools.semantic.lifecycle import analyze_engine
-from repro.devtools.semantic.summary import summarize_file
+from repro.devtools.semantic.summary import MODULE_QUALNAME, summarize_file
 from repro.devtools.semantic.typegate import (
     TypeGateResult,
     run_type_gate,
@@ -119,7 +119,7 @@ class TestSummary:
             "        inner()\n"
         )
         s = summarize_file("repro.x", "x.py", ast.parse(src))
-        assert set(s.functions) == {"C.m"}
+        assert set(s.functions) == {"C.m", MODULE_QUALNAME}
         assert any(m["target"] == "log" for m in s.functions["C.m"].mutations)
         assert s.classes["C"] == ["m"]
 
@@ -220,8 +220,8 @@ class TestGraph:
             ),
         })
         g = graph_for_project(project)
-        assert "repro.m.C.b" in g.calls["repro.m.C.a"]
-        assert "repro.m.C.a" in g.calls["repro.m.use"]
+        assert "repro.m.C.b" in g.callees("repro.m.C.a")
+        assert "repro.m.C.a" in g.callees("repro.m.use")
 
     def test_partial_keeps_ordinary_edge(self, tmp_path):
         project = contexts_for(tmp_path, {
@@ -234,7 +234,7 @@ class TestGraph:
             ),
         })
         g = graph_for_project(project)
-        assert "repro.exec.pool._timed" in g.calls["repro.exec.pool.run"]
+        assert "repro.exec.pool._timed" in g.callees("repro.exec.pool.run")
         assert "repro.exec.pool._timed" not in g.workers
 
     def test_to_dict_shape(self, tmp_path):
@@ -418,7 +418,12 @@ class TestRaceRule:
     def _tree(self, worker_body: str) -> dict[str, str]:
         return {
             "src/repro/exec/pool.py": _POOL,
-            "src/repro/obs/trace.py": "def set_tracer(t):\n    pass\n",
+            "src/repro/obs/trace.py": (
+                "_TRACER = None\n"
+                "def set_tracer(t):\n"
+                "    global _TRACER\n"
+                "    _TRACER = t\n"
+            ),
             "src/repro/exec/state.py": "CACHE = {}\n",
             "src/repro/exec/sweep.py": (
                 "from repro.exec.pool import run_jobs\n"
@@ -462,6 +467,23 @@ class TestRaceRule:
             tmp_path, self._tree("    open('o.txt', 'w')\n"), select=["R010"]
         )
         assert any("file write" in f.message for f in findings)
+
+    def test_mutation_reached_through_constructor_trips(self, tmp_path):
+        # The worker reaches Recorder.__init__ through a constructor
+        # call; the finding sits at the site and names the chain.
+        files = self._tree("    state.Recorder(spec)\n")
+        files["src/repro/exec/state.py"] = (
+            "CACHE = {}\n"
+            "class Recorder:\n"
+            "    def __init__(self, spec):\n"
+            "        CACHE[spec] = self\n"
+        )
+        (f,) = lint_tree(tmp_path, files, select=["R010"])
+        assert (f.path, f.line) == ("src/repro/exec/state.py", 4)
+        assert (
+            "src/repro/exec/sweep.py:6 repro.exec.sweep.worker -> "
+            "src/repro/exec/state.py:4 repro.exec.state.Recorder.__init__"
+        ) in f.message
 
     def test_parent_side_mutation_is_fine(self, tmp_path):
         # Mutating a module global in the *parent* (sweep) is allowed.
@@ -594,7 +616,7 @@ class TestMultilineNoqa:
 
     def test_wrong_rule_id_does_not_suppress(self, tmp_path):
         files = {"src/repro/sim/t.py": self._BAD.replace(
-            "ok = (", "ok = (  # repro: noqa[R001]"
+            "ok = (", "ok = (  # repro: noqa[R014] -- wrong rule"
         )}
         findings = lint_tree(tmp_path, files, select=["R002"])
         assert [f.line for f in findings] == [3]

@@ -15,6 +15,7 @@ that the shipped tree is unit-clean.
 from __future__ import annotations
 
 import ast
+import json
 import subprocess
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from repro.devtools import Finding, lint_paths
 from repro.devtools.context import FileContext, ProjectContext
 from repro.devtools.linter import changed_files, main
 from repro.devtools.semantic.cache import AnalysisCache
-from repro.devtools.semantic.graph import analysis_versions
+from repro.devtools.semantic.graph import graph_for_project
+from repro.devtools.semantic.summary import ANALYSIS_VERSION
 from repro.devtools.semantic.units import (
     BYTES,
     CYCLES,
@@ -342,11 +344,14 @@ class TestUnitsGraphArtifact:
 
 
 class TestAnalysisVersionFingerprint:
-    def test_versions_cover_every_semantic_analysis(self):
-        versions = analysis_versions()
-        for key in ("summary", "lifecycle", "races", "typedcore",
-                    "units", "clockdomains"):
-            assert key in versions
+    def test_cache_is_keyed_on_the_summary_version_alone(self, tmp_path):
+        # The cache holds only FileSummary documents, so the summary
+        # schema version is the whole key.
+        project = contexts_for(tmp_path, {"src/repro/sim/a.py": "x = 1\n"})
+        project.semantic_cache_path = tmp_path / "cache.json"
+        graph_for_project(project)
+        doc = json.loads((tmp_path / "cache.json").read_text())
+        assert doc["analysis_versions"] == {"summary": ANALYSIS_VERSION}
 
     def test_bumping_an_analysis_version_discards_the_cache(self, tmp_path):
         path = tmp_path / "cache.json"
