@@ -1,17 +1,19 @@
-"""Micro-benchmarks of the PR-4 transaction hot path.
+"""Micro-benchmarks of the Python engine's transaction hot path.
 
 These isolate the three layers the hot-path refactor rebuilt — the
 bucketed calendar :class:`~repro.sim.engine.EventQueue`, the
 :class:`~repro.sim.engine.MemTxn` stage machine, and the closure-free
 memory hierarchy — so a regression in any one of them shows up here
 before it dilutes the whole-GPU numbers in ``bench_sim_kernels.py``.
-The official tracked numbers live in ``BENCH_engine.json`` (see
-``scripts/bench_report.py`` and ``docs/performance.md``); this module
-is the always-on pytest-benchmark view of the same path.
 
-That path is the Python reference engine, so the whole-run cases pin it;
-closed-system runs otherwise execute in the native kernel
-(``repro.sim.native``), which ``perfbench/`` measures.
+That path is the Python reference engine, so the whole-run cases pin it.
+Closed-system runs otherwise execute in the native kernel
+(``repro.sim.native``), which the repo benchmark measures
+(``python3 perfbench/run.py --workload dynamic --seed 1 --seconds 10
+--trace 0``).  The Python engine still runs every open-system, probed,
+phased/trace and no-compiler simulation, and this module is the only
+timing of it.  The deterministic event-count gate lives in the tier-1
+suite (``tests/test_event_budget.py``).
 """
 
 import random
@@ -110,9 +112,9 @@ def test_fifo_order_within_tie_is_kept(benchmark):
 def test_corun_dispatch_throughput(benchmark):
     """The refactor's headline case: two co-running apps, fixed TLP.
 
-    Mirrors the ``corun`` case of ``scripts/bench_report.py`` at pytest
-    scale.  The run must also leave the transaction free-lists warm —
-    proof that the pool recycling (not the GC) is carrying the load.
+    A medium-GPU co-run on the Python engine.  The run must also leave
+    the transaction free-lists warm — proof that the pool recycling (not
+    the GC) is carrying the load.
     """
     config = medium_config()
     apps = [app_by_abbr("BFS"), app_by_abbr("GUPS")]

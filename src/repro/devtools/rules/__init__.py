@@ -5,7 +5,7 @@ Importing this package registers every rule with
 that defines a :class:`~repro.devtools.registry.LintRule` subclass
 decorated with ``@register``, and importing it below.
 
-The per-file rules (R002–R008) live in this package; the whole-program
+The per-file rules (R002–R007) live in this package; the whole-program
 semantic rules (R009–R016) live in :mod:`repro.devtools.semantic` and
 are imported here for the same register-on-import effect.
 """
@@ -14,7 +14,6 @@ from repro.devtools.rules import (  # noqa: F401  (import-for-effect)
     atomic_write,
     cache_schema,
     floatcmp,
-    hotpath,
     layering,
     noprint,
     picklability,
@@ -34,7 +33,6 @@ __all__ = [
     "picklability",
     "atomic_write",
     "noprint",
-    "hotpath",
     "lifecycle",
     "typedcore",
     "units",

@@ -1,6 +1,6 @@
 """Whole-program semantic analysis for the repro tree.
 
-The per-file AST rules (R002–R008) check invariants a single parse can
+The per-file AST rules (R002–R007) check invariants a single parse can
 see.  This package adds the cross-function layer the engine's pooled
 ``MemTxn`` stage machine needs:
 

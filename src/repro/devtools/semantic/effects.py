@@ -143,7 +143,6 @@ TELEMETRY_BOUNDARY = frozenset({
     "repro.obs.live",       # live event log: worker messages
     "repro.obs.dashboard",  # render clock
     "repro.obs.chrome",     # trace-viewer timestamps
-    "repro.obs.bench",      # benchmark timing
     "repro.obs.io",         # uuid-named temp files (atomic replace)
 })
 

@@ -16,22 +16,15 @@ reaches observability only through the tracer/metrics seam).
 * :mod:`repro.obs.live` — the live event log: worker publishers, the
   parent-side hub that logs their messages, profiling frames.
 * :mod:`repro.obs.dashboard` — live TTY dashboard / ``repro watch``.
-* :mod:`repro.obs.bench` — perf-history ledger for ``bench history``.
 * :mod:`repro.obs.chrome` — Chrome trace-event export for Perfetto.
 * :mod:`repro.obs.manifest` — per-run provenance manifests.
 * :mod:`repro.obs.summarize` — offline ``repro trace summarize``.
 * :mod:`repro.obs.io` — atomic file publication and JSONL reading.
 """
 
-from repro.obs.bench import (
-    append_bench_history,
-    load_bench_baseline,
-    load_bench_history,
-    render_bench_history,
-)
 from repro.obs.chrome import chrome_trace, write_chrome_trace
 from repro.obs.dashboard import Dashboard, LiveState, render_lines, watch
-from repro.obs.io import JsonlAppender, append_jsonl, atomic_write_text, read_jsonl
+from repro.obs.io import JsonlAppender, atomic_write_text, read_jsonl
 from repro.obs.live import (
     LiveHub,
     NullPublisher,
@@ -98,8 +91,6 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "TimelinePoint",
     "Tracer",
-    "append_bench_history",
-    "append_jsonl",
     "atomic_write_text",
     "chrome_trace",
     "config_fingerprint",
@@ -110,13 +101,10 @@ __all__ = [
     "git_revision",
     "job_stats",
     "log_stats",
-    "load_bench_baseline",
-    "load_bench_history",
     "load_trace",
     "parse_events",
     "profile_frames",
     "read_jsonl",
-    "render_bench_history",
     "render_lines",
     "resolve_trace_path",
     "set_metrics",

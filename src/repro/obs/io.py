@@ -15,7 +15,7 @@ import os
 import uuid
 from pathlib import Path
 
-__all__ = ["JsonlAppender", "append_jsonl", "atomic_write_text", "read_jsonl"]
+__all__ = ["JsonlAppender", "atomic_write_text", "read_jsonl"]
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -38,9 +38,9 @@ def atomic_write_text(path: Path, text: str) -> None:
 class JsonlAppender:
     """A single-writer, line-at-a-time JSONL sink.
 
-    Streaming sinks (a run's event log, the bench-history ledger) cannot
-    use :func:`atomic_write_text` — their value is that a reader can
-    tail the file *while* it grows.  The safety story is different but
+    A streaming sink (a run's event log) cannot use
+    :func:`atomic_write_text` — its value is that a reader can tail the
+    file *while* it grows.  The safety story is different but
     equally deliberate: exactly one process owns the handle (and
     serializes its writers), every record is written as one ``write()``
     of a complete line and flushed, so a concurrent reader observes
@@ -73,12 +73,6 @@ class JsonlAppender:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-def append_jsonl(path: Path, record: dict) -> None:
-    """Append one record to a JSONL ledger (open-append-flush-close)."""
-    with JsonlAppender(path) as sink:
-        sink.append(record)
 
 
 def read_jsonl(path: Path) -> list[dict]:

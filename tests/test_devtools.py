@@ -46,10 +46,10 @@ def rules_of(findings: list[Finding]) -> set[str]:
 
 
 class TestFramework:
-    def test_registry_has_all_fifteen_rules(self):
+    def test_registry_has_all_fourteen_rules(self):
         ids = [r.id for r in all_rules()]
         assert ids == [
-            "R002", "R003", "R004", "R005", "R006", "R007", "R008",
+            "R002", "R003", "R004", "R005", "R006", "R007",
             "R009", "R010", "R011", "R012", "R013", "R014", "R015", "R016",
         ]
 
@@ -566,93 +566,6 @@ class TestR007NoPrint:
         out = capsys.readouterr().out
         assert code == 0  # warnings report but do not fail
         assert "R007" in out and "1 warning(s)" in out
-
-
-# --- R008 hot-path allocation -------------------------------------------------
-
-
-class TestR008HotPath:
-    def test_lambda_in_dispatch_flagged_as_error(self, tmp_path):
-        src = (
-            "class Simulator:\n"
-            "    __slots__ = ('events',)\n"
-            "    def _dispatch(self, txn, now):\n"
-            "        self.events.push(now + 1.0, lambda t: self.done(txn, t))\n"
-        )
-        findings = lint_tree(
-            tmp_path, {"src/repro/sim/engine.py": src}, select=["R008"]
-        )
-        assert rules_of(findings) == {"R008"}
-        assert findings[0].severity is Severity.ERROR
-        assert "pre-bind" in findings[0].message
-
-    def test_nested_def_in_hot_function_flagged(self, tmp_path):
-        src = (
-            "def decide(channel, now):\n"
-            "    def fire(t):\n"
-            "        channel.complete(t)\n"
-            "    return fire\n"
-        )
-        findings = lint_tree(tmp_path, {"src/repro/sim/dram.py": src}, select=["R008"])
-        assert rules_of(findings) == {"R008"}
-
-    def test_init_and_module_level_closures_exempt(self, tmp_path):
-        src = (
-            "KEY = lambda pair: pair[0]\n"
-            "class DRAMChannel:\n"
-            "    __slots__ = ('on_dequeue', '_decide_event')\n"
-            "    def __init__(self, drain):\n"
-            "        self.on_dequeue = lambda now: drain(self, now)\n"
-            "        self._decide_event = self._decide\n"
-            "    def _decide(self, now):\n"
-            "        pass\n"
-        )
-        assert lint_tree(
-            tmp_path, {"src/repro/sim/dram.py": src}, select=["R008"]
-        ) == []
-
-    def test_probes_module_exempt(self, tmp_path):
-        src = (
-            "def attach(sim):\n"
-            "    def recording(app_id, lat):\n"
-            "        pass\n"
-            "    return recording\n"
-        )
-        assert lint_tree(
-            tmp_path, {"src/repro/sim/probes.py": src}, select=["R008"]
-        ) == []
-
-    def test_hot_class_without_slots_warned(self, tmp_path):
-        src = (
-            "class Warp:\n"
-            "    def __init__(self):\n"
-            "        self.pending = 0\n"
-        )
-        findings = lint_tree(tmp_path, {"src/repro/sim/core.py": src}, select=["R008"])
-        assert rules_of(findings) == {"R008"}
-        assert findings[0].severity is Severity.WARNING
-        assert "__slots__" in findings[0].message
-
-    def test_dataclass_slots_true_counts_as_slotted(self, tmp_path):
-        src = (
-            "from dataclasses import dataclass\n"
-            "@dataclass(slots=True)\n"
-            "class AppStats:\n"
-            "    insts: int = 0\n"
-        )
-        assert lint_tree(
-            tmp_path, {"src/repro/sim/stats.py": src}, select=["R008"]
-        ) == []
-
-    def test_unregistered_class_needs_no_slots(self, tmp_path):
-        src = (
-            "class StatsCollector:\n"
-            "    def __init__(self):\n"
-            "        self.apps = {}\n"
-        )
-        assert lint_tree(
-            tmp_path, {"src/repro/sim/stats.py": src}, select=["R008"]
-        ) == []
 
 
 # --- the CLI and the repo-level gate ------------------------------------------
