@@ -304,9 +304,8 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--graph",
         action="store_true",
-        help="dump the project import/call graph, the MemTxn "
-        "stage-transition graph, unit signatures, and the R014-R016 "
-        "effects graph as JSON (see --graph-dir)",
+        help="dump the project import/call graph, unit signatures, and "
+        "the R014-R016 effects graph as JSON (see --graph-dir)",
     )
     parser.add_argument(
         "--graph-dir",
@@ -478,7 +477,6 @@ def _dump_graphs(project: ProjectContext, graph_dir: Path | None) -> list[Path]:
     from repro.obs.io import atomic_write_text
 
     from repro.devtools.semantic.graph import graph_for_project
-    from repro.devtools.semantic.lifecycle import analyze_engine
 
     out_dir = graph_dir if graph_dir is not None else project.root / "results" / "lint"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -488,15 +486,6 @@ def _dump_graphs(project: ProjectContext, graph_dir: Path | None) -> list[Path]:
     graph_path = out_dir / "project_graph.json"
     atomic_write_text(graph_path, json.dumps(graph.to_dict(), indent=2) + "\n")
     written.append(graph_path)
-
-    engine_ctx = project.file_for("src/repro/sim/engine.py")
-    if engine_ctx is not None:
-        analysis = analyze_engine(engine_ctx.tree)
-        stage_path = out_dir / "stage_graph.json"
-        atomic_write_text(
-            stage_path, json.dumps(analysis.to_dict(), indent=2) + "\n"
-        )
-        written.append(stage_path)
 
     from repro.devtools.semantic.units import units_graph_doc
 

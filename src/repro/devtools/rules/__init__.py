@@ -6,7 +6,7 @@ that defines a :class:`~repro.devtools.registry.LintRule` subclass
 decorated with ``@register``, and importing it below.
 
 The per-file rules (R002–R007) live in this package; the whole-program
-semantic rules (R009–R016) live in :mod:`repro.devtools.semantic` and
+semantic rules (R010–R016) live in :mod:`repro.devtools.semantic` and
 are imported here for the same register-on-import effect.
 """
 
@@ -21,7 +21,6 @@ from repro.devtools.rules import (  # noqa: F401  (import-for-effect)
 from repro.devtools.semantic import (  # noqa: F401  (import-for-effect)
     clockdomains,
     effects,
-    lifecycle,
     typedcore,
     units,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "picklability",
     "atomic_write",
     "noprint",
-    "lifecycle",
     "typedcore",
     "units",
     "clockdomains",

@@ -1,8 +1,8 @@
 """Whole-program semantic analysis for the repro tree.
 
 The per-file AST rules (R002–R007) check invariants a single parse can
-see.  This package adds the cross-function layer the engine's pooled
-``MemTxn`` stage machine needs:
+see.  This package adds the cross-function layer the whole-program rules
+need:
 
 * :mod:`repro.devtools.semantic.summary` — one compact, cacheable
   summary per source file (imports, definitions, calls, module-level
@@ -11,9 +11,6 @@ see.  This package adds the cross-function layer the engine's pooled
   those summaries so ``repro lint`` re-analyzes only edited files;
 * :mod:`repro.devtools.semantic.graph` — the project import/call graph
   built from the summaries (JSON-dumpable via ``repro lint --graph``);
-* :mod:`repro.devtools.semantic.lifecycle` — **R009**, the pooled-object
-  lifecycle verifier over ``Simulator._dispatch`` and its helpers, plus
-  the extracted stage-transition graph;
 * :mod:`repro.devtools.semantic.effects` — the one determinism
   analysis: effect inference over the call graph behind **R010** (pool
   worker races), **R014** (entropy taint), **R015** (order hazards) and

@@ -117,15 +117,9 @@ class MemTxn:
     L2_ACCESS = 2
     #: response packet reached the core; fill L1 and wake waiters
     L1_FILL = 3
-    #: parked retry: re-attempt the L1 MSHR allocation
-    RETRY_L1 = 4
-    #: parked retry: re-attempt the L2 MSHR allocation
-    RETRY_L2 = 5
-    #: parked retry: re-attempt the DRAM queue enqueue
-    RETRY_DRAM = 6
     #: one response event carrying several same-instant L1 fills for one
     #: core (``lines`` holds the batch, in scheduling order)
-    L1_FILL_MULTI = 7
+    L1_FILL_MULTI = 4
 
     __slots__ = (
         "stage", "core", "warp", "line", "app_id", "channel", "n_inst",
@@ -174,9 +168,6 @@ _COMPUTE_DONE = MemTxn.COMPUTE_DONE
 _WARP_RESP = MemTxn.WARP_RESP
 _L2_ACCESS = MemTxn.L2_ACCESS
 _L1_FILL = MemTxn.L1_FILL
-_RETRY_L1 = MemTxn.RETRY_L1
-_RETRY_L2 = MemTxn.RETRY_L2
-_RETRY_DRAM = MemTxn.RETRY_DRAM
 _L1_FILL_MULTI = MemTxn.L1_FILL_MULTI
 
 #: shared immutable default for MSHR release when no waiter is registered
@@ -189,9 +180,6 @@ _STAGE_NAMES = (
     "warp_resp",
     "l2_access",
     "l1_fill",
-    "retry_l1",
-    "retry_l2",
-    "retry_dram",
     "l1_fill_multi",
 )
 
@@ -210,7 +198,7 @@ def set_engine_profiling(on: bool) -> bool:
     """Enable/disable engine self-profiling; returns the previous state.
 
     When on, each subsequently built :class:`Simulator` counts events
-    dispatched per stage and samples wheel/pool high-water marks at
+    dispatched per stage and samples the event queue's high-water mark at
     window boundaries, folding the aggregates into the ambient
     :class:`~repro.obs.metrics.MetricsRegistry` at the end of ``run()``
     under the ``engine.`` namespace.  Profiling never touches
@@ -415,7 +403,7 @@ class Simulator:
         "window_log", "current_tlp", "_ran", "_stats", "_push",
         "_bank_row_of", "_req_ports", "_resp_ports",
         "_l1_hit_latency", "_l2_hit_latency", "_dram_cb", "_dram_drain_cb",
-        "_busy_at_measurement", "_txn_pool", "_req_pool", "_interleave",
+        "_busy_at_measurement", "_interleave",
         "_n_channels", "_row_bytes", "_banks_per_channel", "_prof",
         "_prof_hw", "tenancy", "_arrivals", "_detached_apps", "_kernel",
         "_probed", "backend", "_native_events",
@@ -544,19 +532,13 @@ class Simulator:
             partial(self._dram_done, ch) for ch in range(config.n_channels)
         ]
         self._busy_at_measurement = [0.0] * config.n_channels
-        # Free lists: retired miss transactions and completed DRAM
-        # requests are recycled instead of re-allocated.  Warp-owned
-        # transactions (compute_txn/resp_txn) and parked transactions
-        # never enter the pool — only objects with no remaining owner.
-        self._txn_pool: list[MemTxn] = []
-        self._req_pool: list[DRAMRequest] = []
         # Self-profiling (``--profile``): per-stage dispatch counts plus
-        # wheel/txn-pool/req-pool high-water marks.  ``_prof is None``
-        # is the off switch the dispatch hot path checks.
+        # the event queue's high-water mark.  ``_prof is None`` is the
+        # off switch the dispatch hot path checks.
         self._prof: list[int] | None = (
             [0] * len(_STAGE_NAMES) if _ENGINE_PROFILING else None
         )
-        self._prof_hw = [0, 0, 0]
+        self._prof_hw = 0
         #: the native kernel while a native run is in progress
         self._kernel: NativeEngine | None = None
         #: set by repro.sim.probes.attach; probed runs stay in Python
@@ -678,8 +660,8 @@ class Simulator:
         """Advance one transaction by one stage.
 
         This is the engine's single event consumer: the event queue
-        routes every :class:`MemTxn` here, and the deferred queues are
-        drained through it as backpressure lifts.
+        routes every :class:`MemTxn` here.  Deferred queues never go
+        through it; fills and DRAM dequeues re-drive them directly.
         """
         stage = txn.stage
         prof = self._prof
@@ -743,17 +725,9 @@ class Simulator:
                             continue
                         if len(pending_map) >= mshr.n_entries:
                             mshr.allocation_failures += 1
-                            pool = self._txn_pool
-                            if pool:
-                                t2 = pool.pop()
-                                t2.stage = _RETRY_L1
-                                t2.core = core
-                                t2.warp = warp
-                                t2.line = line
-                                t2.app_id = app_id
-                            else:
-                                t2 = MemTxn(_RETRY_L1, core, warp, line, app_id)
-                            self._l1_deferred[cid].append(t2)
+                            self._l1_deferred[cid].append(
+                                MemTxn(_L2_ACCESS, core, warp, line, app_id)
+                            )
                             continue
                         pending_map[line] = [warp]
                         channel = (line // self._interleave) % self._n_channels
@@ -766,19 +740,7 @@ class Simulator:
                         port.packets += 1
                         port.busy_cycles += cpp
                         port.queue_cycles += start - now
-                        pool = self._txn_pool
-                        if pool:
-                            t2 = pool.pop()
-                            t2.stage = _L2_ACCESS
-                            t2.core = core
-                            t2.warp = warp
-                            t2.line = line
-                            t2.app_id = app_id
-                            t2.channel = channel
-                        else:
-                            t2 = MemTxn(
-                                _L2_ACCESS, core, warp, line, app_id, channel
-                            )
+                        t2 = MemTxn(_L2_ACCESS, core, warp, line, app_id, channel)
                         # Inlined EventQueue.push fast path
                         # (engine-scheduled times are never in the past;
                         # overflow is rare).
@@ -875,11 +837,9 @@ class Simulator:
                 pending_map = mshr._pending
                 n_entries = mshr.n_entries
                 while deferred and len(pending_map) < n_entries:
-                    # Parked entries are always RETRY_L1; re-drive them
-                    # through _l1_miss directly (no dispatch round trip).
+                    # Re-drive parked L1 misses through _l1_miss directly.
                     t2 = deferred.popleft()
                     self._l1_miss(t2.core, t2.warp, t2.line, now, t2)
-            self._txn_pool.append(txn)
             return
         if stage == _L1_FILL_MULTI:
             # A batch of same-instant fills for one core (the coalesced
@@ -927,8 +887,6 @@ class Simulator:
                     while deferred and len(pending_map) < n_entries:
                         t2 = deferred.popleft()
                         self._l1_miss(t2.core, t2.warp, t2.line, now, t2)
-            txn.lines = None
-            self._txn_pool.append(txn)
             return
         if stage == _L2_ACCESS:
             channel = txn.channel
@@ -968,7 +926,6 @@ class Simulator:
                         ft.lines = [ft.line, line]
                     else:
                         ft.lines.append(line)
-                    self._txn_pool.append(txn)
                     return
                 txn.stage = _L1_FILL
                 core.fill_txn = txn
@@ -985,25 +942,22 @@ class Simulator:
                 return
             stats.l2_misses += 1
             # Inlined _l2_miss + _to_dram fast paths (the methods remain
-            # the readable form, used by the parked-retry stages).
+            # the readable form, used to re-drive parked transactions).
             mshr = self.l2_mshrs[channel]
             pending_map = mshr._pending
             waiters = pending_map.get(line)
             if waiters is not None:
                 waiters.append(txn.core)
                 mshr.merges += 1
-                self._txn_pool.append(txn)
                 return
             if len(pending_map) >= mshr.n_entries:
                 mshr.allocation_failures += 1
-                txn.stage = _RETRY_L2
                 self._l2_deferred[channel].append(txn)
                 return
             pending_map[line] = [txn.core]
             chan = self.channels[channel]
             queue = chan.queue
             if len(queue) >= chan.capacity:
-                txn.stage = _RETRY_DRAM
                 self._dram_deferred[channel].append(txn)
                 chan.on_dequeue = self._dram_drain_cb[channel]
                 return
@@ -1014,23 +968,9 @@ class Simulator:
             banks = self._banks_per_channel
             bank = local_row % banks
             row = local_row // banks
-            pool = self._req_pool
-            if pool:
-                req = pool.pop()
-                req.line_addr = line
-                req.app_id = app_id
-                req.bank = bank
-                req.row = row
-                req.enqueue_time = now
-                req.callback = self._dram_cb[channel]
-                req.row_hit = False
-            else:
-                req = DRAMRequest(
-                    line, app_id, bank, row, now, self._dram_cb[channel]
-                )
+            req = DRAMRequest(line, app_id, bank, row, now, self._dram_cb[channel])
             # Inlined DRAMChannel.enqueue (capacity already checked).
             queue.append(req)
-            self._txn_pool.append(txn)
             if not chan._deciding:
                 chan._deciding = True
                 # An idle scheduler's first decision is due at this very
@@ -1064,15 +1004,6 @@ class Simulator:
                     self._start_warp(txn.core, warp, now)
                 else:
                     warp.parked = True
-            return
-        if stage == _RETRY_L1:
-            self._l1_miss(txn.core, txn.warp, txn.line, now, txn)
-            return
-        if stage == _RETRY_L2:
-            self._l2_miss(txn, now)
-            return
-        if stage == _RETRY_DRAM:
-            self._to_dram(txn, now)
             return
         raise RuntimeError(f"unknown transaction stage {stage}")
 
@@ -1145,17 +1076,13 @@ class Simulator:
         if waiters is not None:
             waiters.append(warp)
             mshr.merges += 1
-            if txn is not None:
-                self._txn_pool.append(txn)
             return
         if len(pending_map) >= mshr.n_entries:
             # Back-pressure: park the transaction; it is re-driven when
             # a fill frees an MSHR entry (see the L1_FILL stage).
             mshr.allocation_failures += 1
             if txn is None:
-                txn = MemTxn(_RETRY_L1, core, warp, line, warp.app_id)
-            else:
-                txn.stage = _RETRY_L1
+                txn = MemTxn(_L2_ACCESS, core, warp, line, warp.app_id)
             self._l1_deferred[core.core_id].append(txn)
             return
         pending_map[line] = [warp]
@@ -1179,8 +1106,9 @@ class Simulator:
     def _l2_miss(self, txn: MemTxn, now: Cycles) -> None:
         """Allocate the L2 miss and send it to DRAM (access already counted).
 
-        A merged transaction has served its purpose and is recycled; a
-        full MSHR table parks it as RETRY_L2 until a fill frees an entry.
+        A merged transaction has served its purpose and is dropped; a
+        full MSHR table parks it on the channel's deferred queue until a
+        fill frees an entry.
         """
         channel = txn.channel
         mshr = self.l2_mshrs[channel]
@@ -1190,11 +1118,9 @@ class Simulator:
         if waiters is not None:
             waiters.append(txn.core)
             mshr.merges += 1
-            self._txn_pool.append(txn)
             return
         if len(pending_map) >= mshr.n_entries:
             mshr.allocation_failures += 1
-            txn.stage = _RETRY_L2
             self._l2_deferred[channel].append(txn)
             return
         pending_map[line] = [txn.core]
@@ -1203,34 +1129,19 @@ class Simulator:
     def _to_dram(self, txn: MemTxn, now: Cycles) -> None:
         """Enqueue at the channel, deferring while its queue is full.
 
-        The transaction's journey ends here: its identity is carried
-        onward by a (pooled) :class:`DRAMRequest`, so it is recycled.
+        The transaction's journey ends here: a new :class:`DRAMRequest`
+        carries its line and application onward.
         """
         channel = txn.channel
         chan = self.channels[channel]
         if len(chan.queue) >= chan.capacity:
-            txn.stage = _RETRY_DRAM
             self._dram_deferred[channel].append(txn)
             chan.on_dequeue = self._dram_drain_cb[channel]
             return
         line = txn.line
         bank, row = self._bank_row_of(line)
-        pool = self._req_pool
-        if pool:
-            req = pool.pop()
-            req.line_addr = line
-            req.app_id = txn.app_id
-            req.bank = bank
-            req.row = row
-            req.enqueue_time = now
-            req.callback = self._dram_cb[channel]
-            req.row_hit = False
-        else:
-            req = DRAMRequest(
-                line, txn.app_id, bank, row, now, self._dram_cb[channel]
-            )
+        req = DRAMRequest(line, txn.app_id, bank, row, now, self._dram_cb[channel])
         chan.enqueue(req, now)
-        self._txn_pool.append(txn)
 
     def _drain_dram_deferred(self, channel: int, now: Cycles) -> None:
         """Re-drive parked L2 misses while the channel queue has room.
@@ -1245,8 +1156,7 @@ class Simulator:
         queue = chan.queue
         capacity = chan.capacity
         while deferred and len(queue) < capacity:
-            # Parked entries are always RETRY_DRAM; re-drive them
-            # through _to_dram directly (no dispatch round trip).
+            # Re-drive parked entries through _to_dram directly.
             self._to_dram(deferred.popleft(), now)
         if not deferred:
             chan.on_dequeue = None
@@ -1275,7 +1185,6 @@ class Simulator:
                 line_set[line] = app_id
         port = self._resp_ports[channel]
         ev = self.events
-        txn_pool = self._txn_pool
         mshr = self.l2_mshrs[channel]
         for core in mshr._pending.pop(line, _EMPTY):
             fa = port.free_at
@@ -1297,15 +1206,7 @@ class Simulator:
                 else:
                     ft.lines.append(line)
                 continue
-            if txn_pool:
-                t2 = txn_pool.pop()
-                t2.stage = _L1_FILL
-                t2.core = core
-                t2.warp = None
-                t2.line = line
-                t2.app_id = app_id
-            else:
-                t2 = MemTxn(_L1_FILL, core, None, line, app_id)
+            t2 = MemTxn(_L1_FILL, core, None, line, app_id)
             core.fill_txn = t2
             core.fill_time = t
             slot = int(t) >> 4
@@ -1321,10 +1222,8 @@ class Simulator:
             pending_map = mshr._pending
             n_entries = mshr.n_entries
             while deferred and len(pending_map) < n_entries:
-                # Parked entries are always RETRY_L2 (see the L2 miss
-                # path); re-drive them through _l2_miss directly.
+                # Re-drive parked L2 misses through _l2_miss directly.
                 self._l2_miss(deferred.popleft(), now)
-        self._req_pool.append(request)
 
     # ------------------------------------------------------------------
     # Run control
@@ -1463,21 +1362,14 @@ class Simulator:
             self._sample_profiling()
 
     def _sample_profiling(self) -> None:
-        """Fold current occupancies into the high-water marks.
+        """Fold the current queue length into its high-water mark.
 
         Called at window boundaries (and warmup end / run end), not per
         event, so profiling adds nothing to the dispatch loop beyond the
-        per-stage increment.
+        per-stage increment.  During a native run ``self.events`` is the
+        kernel, whose length is its queue length.
         """
-        if self._kernel is not None:
-            occupancy = self._kernel.occupancy()
-        else:
-            occupancy = (
-                len(self.events), len(self._txn_pool), len(self._req_pool)
-            )
-        hw = self._prof_hw
-        for i, value in enumerate(occupancy):
-            hw[i] = max(hw[i], value)
+        self._prof_hw = max(self._prof_hw, len(self.events))
 
     def _publish_profiling(self) -> None:
         """Fold self-profiling aggregates into the ambient registry.
@@ -1497,14 +1389,10 @@ class Simulator:
             if count:
                 registry.inc(f"engine.dispatch.{name}", count)
         registry.inc("engine.events.dispatched", dispatched)
-        for name, value in (
-            ("engine.wheel.high_water", self._prof_hw[0]),
-            ("engine.txn_pool.high_water", self._prof_hw[1]),
-            ("engine.req_pool.high_water", self._prof_hw[2]),
-        ):
-            registry.set_gauge(
-                name, max(registry.gauges.get(name, 0.0), float(value))
-            )
+        name = "engine.wheel.high_water"
+        registry.set_gauge(
+            name, max(registry.gauges.get(name, 0.0), float(self._prof_hw))
+        )
 
     def _schedule_controller_window(self, when: Cycles) -> None:
         self.events.push(when, self._controller_window)

@@ -1,7 +1,7 @@
 """Native event-loop kernel for closed-system runs.
 
 ``native_kernel.c`` (shipped beside this module) is a C99 port of the
-engine's hot path: the ``(time, seq)`` event queue, all eight
+engine's hot path: the ``(time, seq)`` event queue, all five
 :class:`~repro.sim.engine.MemTxn` stages with their folds and tie
 guards, the FR-FCFS DRAM channels, the L1/L2 caches with bypass and way
 quotas, MSHRs and deferred queues, crossbar ports, issue servers, the
@@ -81,7 +81,6 @@ _SIGNATURES: dict[str, tuple[Any, list[Any]]] = {
     "rk_run": (c_int32, [_P, c_double, _F64P, _I64P]),
     "rk_queue_len": (c_int64, [_P]),
     "rk_events_run": (c_int64, [_P]),
-    "rk_occupancy": (None, [_P, _I64P]),
     "rk_prof": (None, [_P, _I64P]),
     "rk_read_stats": (None, [_P, _I64P, _F64P]),
     "rk_read_mshr": (None, [_P, c_int32, c_int32, _I64P]),
@@ -439,15 +438,9 @@ class NativeEngine:
         """Events the queue has run, Python-side ones included."""
         return int(self._lib.rk_events_run(self._k))
 
-    def occupancy(self) -> tuple[int, int, int]:
-        """(events queued, pooled transactions, pooled DRAM requests)."""
-        out = (c_int64 * 3)()
-        self._lib.rk_occupancy(self._k, out)
-        return out[0], out[1], out[2]
-
     def dispatch_counts(self) -> list[int]:
-        """Transactions dispatched per MemTxn stage."""
-        out = (c_int64 * 8)()
+        """Transactions dispatched per MemTxn stage (N_STAGES in the kernel)."""
+        out = (c_int64 * 5)()
         self._lib.rk_prof(self._k, out)
         return list(out)
 

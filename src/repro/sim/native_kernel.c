@@ -163,11 +163,8 @@ enum {
     WARP_RESP = 1,
     L2_ACCESS = 2,
     L1_FILL = 3,
-    RETRY_L1 = 4,
-    RETRY_L2 = 5,
-    RETRY_DRAM = 6,
-    L1_FILL_MULTI = 7,
-    N_STAGES = 8
+    L1_FILL_MULTI = 4,
+    N_STAGES = 5
 };
 
 enum { EV_TXN = 0, EV_REQ = 1, EV_DECIDE = 2, EV_PY = 3 };
@@ -333,7 +330,8 @@ typedef struct {
     int64_t hsize, hcap;
     uint64_t seq;
     double now;
-    /* free lists (LIFO, like the Python engine's list pools) */
+    /* free lists (LIFO): retired transactions and DRAM requests are
+     * reused; all_txns / all_reqs own every allocation for rk_free */
     PtrVec txn_pool, req_pool;
     PtrVec all_txns, all_reqs;
     int64_t prof[N_STAGES];
@@ -828,7 +826,6 @@ static void l1_miss(K *k, Core *core, int32_t wi, uint64_t line, double now, Txn
             txn->line = line;
             txn->app_id = w->app_id;
         }
-        txn->stage = RETRY_L1;
         if (tq_push(&core->l1_def, txn)) k->error = ERR_NOMEM;
         return;
     }
@@ -852,7 +849,6 @@ static void l1_miss(K *k, Core *core, int32_t wi, uint64_t line, double now, Txn
 static void to_dram(K *k, Txn *txn, double now) {
     Chan *c = &k->chans[txn->channel];
     if (c->qlen >= c->capacity) {
-        txn->stage = RETRY_DRAM;
         if (tq_push(&c->dram_def, txn)) k->error = ERR_NOMEM;
         c->drain_armed = 1;
         return;
@@ -893,7 +889,6 @@ static void l2_miss(K *k, Txn *txn, double now) {
     }
     if (m->size >= m->n_entries) {
         m->failures += 1;
-        txn->stage = RETRY_L2;
         if (tq_push(&c->l2_def, txn)) k->error = ERR_NOMEM;
         return;
     }
@@ -1140,7 +1135,6 @@ static void compute_done(K *k, Txn *txn, double now) {
                     m->failures += 1;
                     Txn *t2 = txn_alloc(k);
                     if (!t2) return;
-                    t2->stage = RETRY_L1;
                     t2->core = txn->core;
                     t2->warp = wi;
                     t2->line = line;
@@ -1220,13 +1214,11 @@ static void l2_access(K *k, Txn *txn, double now) {
     }
     if (m->size >= m->n_entries) {
         m->failures += 1;
-        txn->stage = RETRY_L2;
         if (tq_push(&c->l2_def, txn)) k->error = ERR_NOMEM;
         return;
     }
     if (mshr_insert(m, line, txn->core)) k->error = ERR_NOMEM;
     if (c->qlen >= c->capacity) {
-        txn->stage = RETRY_DRAM;
         if (tq_push(&c->dram_def, txn)) k->error = ERR_NOMEM;
         c->drain_armed = 1;
         return;
@@ -1308,15 +1300,6 @@ static void dispatch(K *k, Txn *txn, double now) {
         }
         return;
     }
-    case RETRY_L1:
-        l1_miss(k, &k->cores[txn->core], txn->warp, txn->line, now, txn);
-        return;
-    case RETRY_L2:
-        l2_miss(k, txn, now);
-        return;
-    case RETRY_DRAM:
-        to_dram(k, txn, now);
-        return;
     }
 }
 
@@ -1558,13 +1541,6 @@ int64_t rk_queue_len(K *k) { return k->hsize; }
 /* Events run so far: every push took one seq, and the queued ones have
  * not run yet. */
 int64_t rk_events_run(K *k) { return (int64_t)k->seq - k->hsize; }
-
-/* [events queued, txn pool, request pool] */
-void rk_occupancy(K *k, int64_t *out) {
-    out[0] = k->hsize;
-    out[1] = k->txn_pool.n;
-    out[2] = k->req_pool.n;
-}
 
 void rk_prof(K *k, int64_t *out) {
     for (int i = 0; i < N_STAGES; i++) out[i] = k->prof[i];

@@ -46,11 +46,11 @@ def rules_of(findings: list[Finding]) -> set[str]:
 
 
 class TestFramework:
-    def test_registry_has_all_fourteen_rules(self):
+    def test_registry_has_all_thirteen_rules(self):
         ids = [r.id for r in all_rules()]
         assert ids == [
             "R002", "R003", "R004", "R005", "R006", "R007",
-            "R009", "R010", "R011", "R012", "R013", "R014", "R015", "R016",
+            "R010", "R011", "R012", "R013", "R014", "R015", "R016",
         ]
 
     def test_select_unknown_rule_raises(self):
@@ -566,6 +566,46 @@ class TestR007NoPrint:
         out = capsys.readouterr().out
         assert code == 0  # warnings report but do not fail
         assert "R007" in out and "1 warning(s)" in out
+
+
+# --- real-tree mutations (R004, R006) -----------------------------------------
+
+
+class TestRealTreeMutations:
+    """Each rule against a shipped module: the copy lints clean, and one
+    seeded violation fires the rule at the seeded line."""
+
+    STATS = "src/repro/sim/stats.py"
+    REPORTS = "scripts/make_reports.py"
+
+    def test_shipped_modules_are_clean(self, tmp_path):
+        for relpath, rule in ((self.STATS, "R004"), (self.REPORTS, "R006")):
+            source = (REPO_ROOT / relpath).read_text()
+            assert lint_tree(tmp_path, {relpath: source}, select=[rule]) == [], relpath
+
+    def test_r004_sim_importing_experiments_trips(self, tmp_path):
+        source = (REPO_ROOT / self.STATS).read_text()
+        needle = "from dataclasses import dataclass, fields\n"
+        assert needle in source, "stats.py changed: update the mutation seed"
+        seeded = "import repro.experiments.common"
+        mutated = source.replace(needle, needle + seeded + "\n", 1)
+        findings = lint_tree(tmp_path, {self.STATS: mutated}, select=["R004"])
+        expected_line = mutated.splitlines().index(seeded) + 1
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("R004", self.STATS, expected_line)
+        ]
+
+    def test_r006_script_write_text_under_results_trips(self, tmp_path):
+        source = (REPO_ROOT / self.REPORTS).read_text()
+        needle = '        atomic_write_text(OUT / f"{name}.txt", text + "\\n")'
+        assert needle in source, "make_reports.py changed: update the mutation seed"
+        seeded = '        (OUT / f"{name}.txt").write_text(text + "\\n")'
+        mutated = source.replace(needle, seeded, 1)
+        findings = lint_tree(tmp_path, {self.REPORTS: mutated}, select=["R006"])
+        expected_line = mutated.splitlines().index(seeded) + 1
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("R006", self.REPORTS, expected_line)
+        ]
 
 
 # --- the CLI and the repo-level gate ------------------------------------------

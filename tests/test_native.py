@@ -134,15 +134,14 @@ def test_mt_reproduces_ring_prepopulation(abbr):
 #: Configurations of the differential runs.  "two-channel" lets data
 #: returns from different channels land on one core in the same cycle
 #: (L1_FILL_MULTI; one channel's response port serialises its fills).
-#: "tiny-mshr" parks misses
-#: on the L1 and L2 MSHR deferred queues (RETRY_L1, RETRY_L2) and
+#: "tiny-mshr" parks misses on the L1 and L2 MSHR deferred queues and
 #: re-drives them as fills free entries.  An idle DRAM scheduler decides
 #: on arrival, so its queue only builds when several requests reach a
 #: channel in the same instant: "instant-xbar" makes crossbar packets
 #: take no port time (1e-300 cycles vanish when added to a time), which
-#: reaches the FR-FCFS pick, the lagged decisions and the DRAM-queue
-#: backpressure with its re-drive (RETRY_DRAM).  "dramq0" parks every L2
-#: miss on a zero-depth queue for good.
+#: reaches the FR-FCFS pick, the lagged decisions and the DRAM deferred
+#: queue with its re-drive.  "dramq0" parks every L2 miss on a
+#: zero-depth queue for good.
 _TINY_MSHR = small_config().with_(
     l1=CacheGeometry(size_bytes=4 * 1024, assoc=4, mshr_entries=8),
     l2_per_channel=CacheGeometry(size_bytes=32 * 1024, assoc=8, mshr_entries=1),
@@ -200,8 +199,8 @@ def make_controller(kind, n_apps, period, schedule):
     ("dramq0", (True, True, True)),
 ])
 def test_tiny_configs_park_on_deferred_queues(name, parked, python_engine):
-    """The differential strategy's tiny depths really drive the L1-MSHR,
-    L2-MSHR and DRAM-queue backpressure paths (RETRY_L1/L2/DRAM)."""
+    """The differential strategy's tiny depths really park transactions
+    on the L1-MSHR, L2-MSHR and DRAM deferred queues."""
     sim = Simulator(CONFIGS[name], [app_by_abbr("GUPS"), app_by_abbr("BFS")], seed=3)
     peaks = [0, 0, 0]
 
@@ -213,6 +212,26 @@ def test_tiny_configs_park_on_deferred_queues(name, parked, python_engine):
     sim.events.push(1.0, sample)
     sim.run(4000, warmup=500, initial_tlp={0: 24, 1: 24})
     assert tuple(p > 0 for p in peaks) == parked, peaks
+
+
+def test_every_declared_stage_is_dispatched():
+    """Every MemTxn stage the engine declares is reachable: profiled
+    Python-engine runs over "two-channel" (same-instant fills, so
+    L1_FILL_MULTI) and "tiny-mshr" (MSHR backpressure) dispatch each
+    ``_STAGE_NAMES`` entry at least once.  A stage nothing dispatches
+    is dead code in both backends and fails here."""
+    dispatched = dict.fromkeys(engine._STAGE_NAMES, 0)
+    for name in ("two-channel", "tiny-mshr"):
+
+        def build(cfg=CONFIGS[name]):
+            sim = Simulator(cfg, [app_by_abbr("GUPS"), app_by_abbr("BFS")], seed=3)
+            return sim, lambda s: s.run(4000, warmup=500, initial_tlp={0: 24, 1: 24})
+
+        backend, _, (counters, _) = run_backend(False, build, profile=True)
+        assert backend == "python"
+        for stage in dispatched:
+            dispatched[stage] += counters.get(f"engine.dispatch.{stage}", 0)
+    assert all(dispatched.values()), dispatched
 
 
 APP_NAMES = [a.abbr for a in APPLICATIONS]
@@ -268,7 +287,8 @@ def test_backends_agree(apps, tlps, seed, config, quota, controller, schedule, p
 @needs_native
 def test_profiled_counters_agree_on_a_dynamic_run():
     """Engine self-profiling fills the same counters and gauges on both
-    backends (per-stage dispatches, events dispatched, high-water marks)."""
+    backends (per-stage dispatches, events dispatched, queue high-water
+    mark)."""
     cfg = small_config()
 
     def build():
@@ -284,7 +304,7 @@ def test_profiled_counters_agree_on_a_dynamic_run():
     ref = run_backend(False, build, profile=True)
     counters, gauges = fast[2]
     assert counters["engine.events.dispatched"] > 0
-    assert {"engine.wheel.high_water", "engine.txn_pool.high_water"} <= gauges.keys()
+    assert gauges.keys() == {"engine.wheel.high_water"}
     assert fast[1] == ref[1]
     assert fast[2] == ref[2]
 

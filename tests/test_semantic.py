@@ -1,13 +1,12 @@
 """Tests for repro.devtools.semantic: the whole-program analysis layer.
 
 Covers the per-file summary extraction and its content-hash cache, the
-project import/call graph (facade chasing, worker detection), the three
-semantic rules — R009 (MemTxn lifecycle), R010 (cross-process races),
-R011 (typed-core annotations) — with a known-bad/known-clean fixture
-pair per failure mode, the mutation test that seeds a lifecycle bug
-into the *real* engine and asserts R009 trips, the statement-extent
-``# repro: noqa`` satellite, the CLI exit codes, and the repo-level
-gate: the real tree passes every semantic rule clean.
+project import/call graph (facade chasing, worker detection), the
+semantic rules R010 (cross-process races) and R011 (typed-core
+annotations) with a known-bad/known-clean fixture pair per failure
+mode, the statement-extent ``# repro: noqa`` satellite, the CLI exit
+codes, and the repo-level gate: the real tree passes every semantic
+rule clean.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.devtools.semantic.cache import (
     content_digest,
 )
 from repro.devtools.semantic.graph import build_graph, graph_for_project
-from repro.devtools.semantic.lifecycle import analyze_engine
 from repro.devtools.semantic.summary import MODULE_QUALNAME, summarize_file
 from repro.devtools.semantic.typegate import (
     TypeGateResult,
@@ -33,7 +31,6 @@ from repro.devtools.semantic.typegate import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-ENGINE_PATH = REPO_ROOT / "src" / "repro" / "sim" / "engine.py"
 
 
 def lint_tree(tmp_path: Path, files: dict[str, str], select=None) -> list[Finding]:
@@ -253,162 +250,6 @@ class TestGraph:
     def test_memoized_on_project(self, tmp_path):
         project = contexts_for(tmp_path, {"src/repro/a.py": "def f():\n    pass\n"})
         assert graph_for_project(project) is graph_for_project(project)
-
-
-# --- R009: MemTxn lifecycle ---------------------------------------------------
-
-
-def _mini_engine(dispatch_b: str, extra_stage: str = "") -> str:
-    """A minimal engine module exercising the R009 contract."""
-    return (
-        "class MemTxn:\n"
-        "    COMPUTE = 0\n"
-        "    RETIRE = 1\n"
-        f"{extra_stage}"
-        "    __slots__ = ('stage',)\n"
-        "\n"
-        "_COMPUTE = MemTxn.COMPUTE\n"
-        "_RETIRE = MemTxn.RETIRE\n"
-        "\n"
-        "class Simulator:\n"
-        "    def _dispatch(self, txn, now):\n"
-        "        stage = txn.stage\n"
-        "        if stage == _COMPUTE:\n"
-        "            txn.stage = _RETIRE\n"
-        "            self._queue.push(now + 1.0, txn)\n"
-        "            return\n"
-        "        if stage == _RETIRE:\n"
-        f"{dispatch_b}"
-        "            return\n"
-    )
-
-
-_ENGINE_RELPATH = "src/repro/sim/engine.py"
-
-
-class TestLifecycleRule:
-    def test_clean_mini_engine_passes(self, tmp_path):
-        files = {_ENGINE_RELPATH: _mini_engine(
-            "            self._txn_pool.append(txn)\n"
-        )}
-        assert lint_tree(tmp_path, files, select=["R009"]) == []
-
-    def test_leaked_txn_trips(self, tmp_path):
-        files = {_ENGINE_RELPATH: _mini_engine(
-            "            pass\n"
-        )}
-        findings = lint_tree(tmp_path, files, select=["R009"])
-        assert any("leak" in f.message for f in findings)
-
-    def test_double_release_trips(self, tmp_path):
-        files = {_ENGINE_RELPATH: _mini_engine(
-            "            self._txn_pool.append(txn)\n"
-            "            self._txn_pool.append(txn)\n"
-        )}
-        findings = lint_tree(tmp_path, files, select=["R009"])
-        assert any("release" in f.message for f in findings)
-
-    def test_use_after_release_trips(self, tmp_path):
-        files = {_ENGINE_RELPATH: _mini_engine(
-            "            self._txn_pool.append(txn)\n"
-            "            txn.stage = _COMPUTE\n"
-        )}
-        findings = lint_tree(tmp_path, files, select=["R009"])
-        assert any("use-after-release" in f.message for f in findings)
-
-    def test_unhandled_stage_trips(self, tmp_path):
-        files = {_ENGINE_RELPATH: _mini_engine(
-            "            self._txn_pool.append(txn)\n",
-            extra_stage="    ORPHAN = 2\n",
-        )}
-        findings = lint_tree(tmp_path, files, select=["R009"])
-        assert any("ORPHAN" in f.message for f in findings)
-
-    def test_rule_only_fires_on_engine_module(self, tmp_path):
-        files = {"src/repro/sim/other.py": _mini_engine("            pass\n")}
-        assert lint_tree(tmp_path, files, select=["R009"]) == []
-
-
-class TestLifecycleOnRealEngine:
-    """The acceptance gate: the shipped engine passes; a seeded
-    lifecycle mutation in ``Simulator._dispatch`` trips R009."""
-
-    def test_real_engine_is_clean(self):
-        analysis = analyze_engine(ast.parse(ENGINE_PATH.read_text()))
-        assert analysis.findings == []
-        # The stage machine was actually extracted, not vacuously empty.
-        assert len(analysis.stages) == 8
-        assert analysis.handled == set(analysis.stages)
-        assert analysis.pooled and analysis.warp_owned
-        assert analysis.transitions
-
-    def test_mutation_dropping_pool_release_trips(self):
-        source = ENGINE_PATH.read_text()
-        needle = (
-            "                mshr.merges += 1\n"
-            "                self._txn_pool.append(txn)\n"
-        )
-        assert needle in source, "engine changed: update the mutation seed"
-        mutated = source.replace(
-            needle, "                mshr.merges += 1\n", 1
-        )
-        analysis = analyze_engine(ast.parse(mutated))
-        assert any("leak" in msg for _, _, msg in analysis.findings)
-
-    def test_mutation_use_after_release_trips(self):
-        source = ENGINE_PATH.read_text()
-        needle = "        chan.enqueue(req, now)\n        self._txn_pool.append(txn)\n"
-        assert needle in source, "engine changed: update the mutation seed"
-        mutated = source.replace(
-            needle, needle + "        txn.stage = _RETRY_DRAM\n", 1
-        )
-        analysis = analyze_engine(ast.parse(mutated))
-        assert any("use-after-release" in msg for _, _, msg in analysis.findings)
-
-    def test_mutation_double_release_trips(self):
-        source = ENGINE_PATH.read_text()
-        needle = "        chan.enqueue(req, now)\n        self._txn_pool.append(txn)\n"
-        mutated = source.replace(
-            needle, needle + "        self._txn_pool.append(txn)\n", 1
-        )
-        analysis = analyze_engine(ast.parse(mutated))
-        assert analysis.findings
-
-    def test_mutation_releasing_chain_follower_trips(self):
-        # The COMPUTE_DONE stride walk rebinds the dispatch parameter
-        # (`txn = nxt`); ownership must follow the chain so releasing a
-        # warp-owned follower record is still caught.
-        source = ENGINE_PATH.read_text()
-        needle = "                txn = nxt\n                now = txn.due\n"
-        assert needle in source, "engine changed: update the mutation seed"
-        mutated = source.replace(
-            needle,
-            needle + "                self._txn_pool.append(txn)\n",
-            1,
-        )
-        analysis = analyze_engine(ast.parse(mutated))
-        assert any(
-            "must never be released" in msg
-            for _, _, msg in analysis.findings
-        )
-
-    def test_mutation_releasing_link_read_trips(self):
-        # Releasing the raw `.link` read (`nxt`) before the walk
-        # advances is the same bug under a different name: the record
-        # belongs to another warp's recurring compute transaction.
-        source = ENGINE_PATH.read_text()
-        needle = "                if nxt is None:\n                    return\n"
-        assert needle in source, "engine changed: update the mutation seed"
-        mutated = source.replace(
-            needle,
-            "                self._txn_pool.append(nxt)\n" + needle,
-            1,
-        )
-        analysis = analyze_engine(ast.parse(mutated))
-        assert any(
-            "must never be released" in msg
-            for _, _, msg in analysis.findings
-        )
 
 
 # --- R010: cross-process races ------------------------------------------------
@@ -681,7 +522,7 @@ class TestRealTree:
         findings = lint_paths(
             [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "scripts"],
             root=REPO_ROOT,
-            select=["R009", "R010", "R011", "R012", "R013",
+            select=["R010", "R011", "R012", "R013",
                     "R014", "R015", "R016"],
             semantic_cache=False,
         )
