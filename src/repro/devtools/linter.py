@@ -284,28 +284,15 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--types",
         action="store_true",
-        help="additionally run the mypy baseline ratchet over the "
-        "typed-core packages (skipped with a notice if mypy is not "
-        "installed; see docs/devtools.md)",
-    )
-    parser.add_argument(
-        "--update-type-baseline",
-        action="store_true",
-        help="with --types: rewrite the checked-in mypy baseline to the "
-        "current diagnostics instead of failing on drift",
-    )
-    parser.add_argument(
-        "--update-effects-baseline",
-        action="store_true",
-        help="rewrite the checked-in R016 fingerprint-purity baseline "
-        "(src/repro/devtools/effects_baseline.txt) to the current "
-        "impurity set and exit",
+        help="additionally run strict-mode mypy over the typed-core "
+        "packages and fail on any diagnostic (skipped with a notice if "
+        "mypy is not installed; see docs/devtools.md)",
     )
     parser.add_argument(
         "--graph",
         action="store_true",
-        help="dump the project import/call graph, unit signatures, and "
-        "the R014-R016 effects graph as JSON (see --graph-dir)",
+        help="dump the project import/call graph and the R014-R016 "
+        "effects graph as JSON (see --graph-dir)",
     )
     parser.add_argument(
         "--graph-dir",
@@ -408,25 +395,6 @@ def run(args: argparse.Namespace) -> int:
             )
             return 0
 
-    if getattr(args, "update_effects_baseline", False):
-        from repro.devtools.semantic.effects import update_baseline
-
-        project_out = []
-        lint_paths(
-            args.paths,
-            root=root,
-            select=[],
-            semantic_cache=not args.no_semantic_cache,
-            jobs=args.jobs,
-            _project_out=project_out,
-        )
-        baseline_path, entries = update_baseline(project_out[0])
-        print(
-            f"re-pinned effects baseline at {baseline_path} "
-            f"({len(entries)} entr{'y' if len(entries) == 1 else 'ies'})"
-        )
-        return 0
-
     project_out: list[ProjectContext] = []
     try:
         findings = lint_paths(
@@ -455,10 +423,7 @@ def run(args: argparse.Namespace) -> int:
     if args.types:
         from repro.devtools.semantic.typegate import run_type_gate
 
-        gate = run_type_gate(
-            root or find_root(Path.cwd()),
-            update_baseline=args.update_type_baseline,
-        )
+        gate = run_type_gate(root or find_root(Path.cwd()))
         for message in gate.messages:
             print(message)
         if not gate.ok:
@@ -486,14 +451,6 @@ def _dump_graphs(project: ProjectContext, graph_dir: Path | None) -> list[Path]:
     graph_path = out_dir / "project_graph.json"
     atomic_write_text(graph_path, json.dumps(graph.to_dict(), indent=2) + "\n")
     written.append(graph_path)
-
-    from repro.devtools.semantic.units import units_graph_doc
-
-    units_path = out_dir / "units_graph.json"
-    atomic_write_text(
-        units_path, json.dumps(units_graph_doc(project), indent=2) + "\n"
-    )
-    written.append(units_path)
 
     from repro.devtools.semantic.effects import effects_graph_doc
 

@@ -19,10 +19,8 @@ from repro.devtools.rules import (  # noqa: F401  (import-for-effect)
     picklability,
 )
 from repro.devtools.semantic import (  # noqa: F401  (import-for-effect)
-    clockdomains,
     effects,
     typedcore,
-    units,
 )
 
 __all__ = [
@@ -33,7 +31,5 @@ __all__ = [
     "atomic_write",
     "noprint",
     "typedcore",
-    "units",
-    "clockdomains",
     "effects",
 ]

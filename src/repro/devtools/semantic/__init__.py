@@ -17,8 +17,8 @@ need:
   **R016** (fingerprint purity);
 * :mod:`repro.devtools.semantic.typedcore` — **R011**, typed-core
   enforcement of the ``repro.sim`` / ``repro.exec`` public surfaces;
-* :mod:`repro.devtools.semantic.typegate` — the (optional) mypy
-  baseline ratchet behind ``repro lint --types``.
+* :mod:`repro.devtools.semantic.typegate` — the (optional) strict-mode
+  mypy gate behind ``repro lint --types``.
 
 See ``docs/devtools.md`` for the catalog entries and the architecture
 notes.

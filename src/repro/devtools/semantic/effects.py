@@ -59,9 +59,8 @@ The rules gated on the inference:
   assume away.
 * **R016 fingerprint-purity** — every function reachable from
   config-fingerprint / cache-key computation must infer pure; accepted
-  debt lives in ``src/repro/devtools/effects_baseline.txt`` and can
-  only ratchet down (``repro lint --update-effects-baseline`` re-pins
-  it deliberately).
+  debt is a justified ``repro: noqa[R016] -- reason`` at the reported
+  site, as for R014/R015.
 
 Telemetry boundary: the observability and pool plumbing
 (:data:`TELEMETRY_BOUNDARY`) reads clocks and environment by design —
@@ -75,7 +74,6 @@ propagates normally.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.devtools.findings import Finding
@@ -93,12 +91,10 @@ __all__ = [
     "DRAW_KINDS",
     "IMPURE_KINDS",
     "TELEMETRY_BOUNDARY",
-    "BASELINE_RELPATH",
     "EffectWorld",
     "effects_world_for",
     "effects_graph_doc",
     "validate_effects_graph",
-    "update_baseline",
     "RaceRule",
     "EffectTaintRule",
     "DrawOrderRule",
@@ -162,10 +158,6 @@ _FINGERPRINT_SUFFIXES = (
     "._fingerprint", "._key", "._profile_key", "._scheme_key",
     "._alone_key",
 )
-
-#: Checked-in R016 accepted-impurity baseline, relative to the root.
-BASELINE_RELPATH = Path("src") / "repro" / "devtools" / "effects_baseline.txt"
-
 
 def _in_sim_layer(module: str) -> bool:
     return any(
@@ -602,43 +594,6 @@ def policy_audit(
     return records
 
 
-# -- R016 baseline ratchet ---------------------------------------------------
-
-_BASELINE_HEADER = (
-    "# R016 fingerprint-purity baseline: accepted impurity entries\n"
-    "# (function-key|effect-kind), one per line.  The gate fails on any\n"
-    "# entry NOT listed here; re-pin deliberately with\n"
-    "#   repro lint --update-effects-baseline\n"
-)
-
-
-def _read_baseline(root: Path) -> set[str]:
-    path = root / BASELINE_RELPATH
-    if not path.is_file():
-        return set()
-    entries: set[str] = set()
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.add(line)
-    return entries
-
-
-def _write_baseline(root: Path, entries: set[str]) -> Path:
-    path = root / BASELINE_RELPATH
-    path.parent.mkdir(parents=True, exist_ok=True)
-    body = "".join(f"{entry}\n" for entry in sorted(entries))
-    path.write_text(_BASELINE_HEADER + body)
-    return path
-
-
-def update_baseline(project: "ProjectContext") -> tuple[Path, set[str]]:
-    """Rewrite the checked-in baseline to the current impurity set."""
-    world = effects_world_for(project)
-    entries = set(world.purity()["entries"])
-    return _write_baseline(project.root, entries), entries
-
-
 # -- the rules ---------------------------------------------------------------
 
 
@@ -750,17 +705,13 @@ class FingerprintPurityRule(LintRule):
     name = "fingerprint-purity"
     rationale = (
         "functions reachable from cache-key/fingerprint computation "
-        "must infer pure; accepted debt is baselined and ratchets down"
+        "must infer pure; accepted debt is a justified noqa at the site"
     )
     scope = "project"
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        world = effects_world_for(project)
-        baseline = _read_baseline(project.root)
-        purity = world.purity()
+        purity = effects_world_for(project).purity()
         for entry in sorted(purity["entries"]):
-            if entry in baseline:
-                continue
             record = purity["entries"][entry]
             yield _finding(
                 self, record["path"], record["line"],
@@ -768,14 +719,14 @@ class FingerprintPurityRule(LintRule):
                 "reachable from cache-key/fingerprint computation "
                 f"but has effect {record['kind']} via "
                 f"{' -> '.join(record['chain'])}; make it pure or "
-                "re-pin with --update-effects-baseline",
+                "justify with `repro: noqa[R016] -- reason`",
             )
 
 
 # -- effects_graph.json ------------------------------------------------------
 
 #: Schema identifier of the ``--graph`` artifact.
-GRAPH_SCHEMA = "repro.effects_graph/v1"
+GRAPH_SCHEMA = "repro.effects_graph/v2"
 
 
 def _suppression_records(project: "ProjectContext") -> list[dict[str, Any]]:
@@ -814,8 +765,6 @@ def effects_graph_doc(project: "ProjectContext") -> dict[str, Any]:
     """The ``effects_graph.json`` document for ``repro lint --graph``."""
     world = effects_world_for(project)
     purity = world.purity()
-    baseline = _read_baseline(project.root)
-    entries = set(purity["entries"])
     functions: dict[str, Any] = {}
     for key in sorted(world.effects):
         eff = world.effects[key]
@@ -851,10 +800,7 @@ def effects_graph_doc(project: "ProjectContext") -> dict[str, Any]:
         "purity": {
             "roots": purity["roots"],
             "frontier": purity["frontier"],
-            "impure": sorted(entries),
-            "baseline": sorted(baseline),
-            "new": sorted(entries - baseline),
-            "stale": sorted(baseline - entries),
+            "impure": sorted(purity["entries"]),
         },
         "suppressions": _suppression_records(project),
     }
@@ -892,7 +838,7 @@ def validate_effects_graph(doc: Any) -> list[str]:
                     break
     purity = doc.get("purity")
     if isinstance(purity, dict):
-        for field in ("roots", "frontier", "impure", "baseline", "new"):
+        for field in ("roots", "frontier", "impure"):
             if not isinstance(purity.get(field), list):
                 problems.append(f"purity.{field} missing/invalid")
     return problems

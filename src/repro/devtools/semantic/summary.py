@@ -33,7 +33,6 @@ __all__ = [
     "MODULE_QUALNAME",
     "FileSummary",
     "FunctionInfo",
-    "extract_unit_sigs",
     "summarize_file",
 ]
 
@@ -48,7 +47,8 @@ __all__ = [
 #: (:mod:`repro.devtools.semantic.effects`).
 #: v4: the ``<module>`` pseudo-function; hash-ordered iterations are
 #: ``set-iter`` events instead of ``unordered`` flags on draws/calls.
-ANALYSIS_VERSION = 4
+#: v5: no annotation-text harvest (the unit checker it fed is gone).
+ANALYSIS_VERSION = 5
 
 #: Qualname of the pseudo-function holding a file's module-level and
 #: class-body statements.
@@ -207,11 +207,6 @@ class FileSummary:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: class name -> method names (for method resolution).
     classes: dict[str, list[str]] = field(default_factory=dict)
-    #: annotation texts for the unit checker (see
-    #: :func:`extract_unit_sigs`): ``{"functions": {qual: {"params":
-    #: {name: text}, "returns": text}}, "attrs": {Cls: {attr: text}},
-    #: "consts": {name: text | "__scalar__"}}``.
-    unit_sigs: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -221,7 +216,6 @@ class FileSummary:
             "mutable_globals": self.mutable_globals,
             "functions": {q: f.to_dict() for q, f in self.functions.items()},
             "classes": self.classes,
-            "unit_sigs": self.unit_sigs,
         }
 
     @classmethod
@@ -236,7 +230,6 @@ class FileSummary:
                 for q, f in doc.get("functions", {}).items()
             },
             classes={k: list(v) for k, v in doc.get("classes", {}).items()},
-            unit_sigs=dict(doc.get("unit_sigs", {})),
         )
 
 
@@ -624,96 +617,9 @@ def _walk_module(
     return info
 
 
-def _sig_of(node: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, Any]:
-    """Annotation texts of one definition (empty dict when bare)."""
-    args = node.args
-    params: dict[str, str] = {}
-    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-        if arg.annotation is not None:
-            params[arg.arg] = ast.unparse(arg.annotation)
-    sig: dict[str, Any] = {}
-    if params:
-        sig["params"] = params
-    if node.returns is not None:
-        sig["returns"] = ast.unparse(node.returns)
-    return sig
-
-
-def extract_unit_sigs(tree: ast.Module) -> dict[str, Any]:
-    """Harvest annotation *texts* for the unit checker (R012/R013).
-
-    Resolution is deferred exactly as for calls: the texts are matched
-    against the vocabulary/import map by
-    :class:`repro.devtools.semantic.units.UnitWorld`, so the summary
-    stays a purely local (and cacheable) artifact.  Collected:
-
-    * parameter/return annotations of every function and method;
-    * class attribute declarations — class-body ``x: T`` fields *and*
-      ``self.x: T = ...`` statements anywhere in the class's methods;
-    * module-level ``NAME: T = ...`` constants, plus bare numeric
-      ``NAME = 1e-12`` constants recorded as the sentinel
-      ``"__scalar__"`` (they adapt to any unit, like literals).
-    """
-    functions: dict[str, Any] = {}
-    attrs: dict[str, dict[str, str]] = {}
-    consts: dict[str, str] = {}
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            sig = _sig_of(stmt)
-            if sig:
-                functions[stmt.name] = sig
-        elif isinstance(stmt, ast.ClassDef):
-            cls_attrs: dict[str, str] = {}
-            for sub in stmt.body:
-                if isinstance(sub, ast.AnnAssign) and isinstance(
-                    sub.target, ast.Name
-                ):
-                    cls_attrs[sub.target.id] = ast.unparse(sub.annotation)
-                elif isinstance(sub, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef)):
-                    sig = _sig_of(sub)
-                    if sig:
-                        functions[f"{stmt.name}.{sub.name}"] = sig
-                    for inner in ast.walk(sub):
-                        if (
-                            isinstance(inner, ast.AnnAssign)
-                            and isinstance(inner.target, ast.Attribute)
-                            and isinstance(inner.target.value, ast.Name)
-                            and inner.target.value.id == "self"
-                        ):
-                            cls_attrs.setdefault(
-                                inner.target.attr,
-                                ast.unparse(inner.annotation),
-                            )
-            if cls_attrs:
-                attrs[stmt.name] = cls_attrs
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(
-            stmt.target, ast.Name
-        ):
-            consts[stmt.target.id] = ast.unparse(stmt.annotation)
-        elif isinstance(stmt, ast.Assign):
-            if (
-                isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, (int, float))
-                and not isinstance(stmt.value.value, bool)
-            ):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        consts[target.id] = "__scalar__"
-    sigs: dict[str, Any] = {}
-    if functions:
-        sigs["functions"] = functions
-    if attrs:
-        sigs["attrs"] = attrs
-    if consts:
-        sigs["consts"] = consts
-    return sigs
-
-
 def summarize_file(module: str, path: str, tree: ast.Module) -> FileSummary:
     """Extract the :class:`FileSummary` of one parsed source file."""
     summary = FileSummary(module=module, path=path)
-    summary.unit_sigs = extract_unit_sigs(tree)
 
     class_names: set[str] = {
         n.name for n in tree.body if isinstance(n, ast.ClassDef)

@@ -1,4 +1,4 @@
-"""The (optional) mypy baseline ratchet behind ``repro lint --types``.
+"""The (optional) strict-mode mypy gate behind ``repro lint --types``.
 
 The container running the simulator does not necessarily have mypy;
 type enforcement therefore has two layers:
@@ -7,17 +7,9 @@ type enforcement therefore has two layers:
   (R011) always runs and needs nothing beyond the standard library;
 * when mypy *is* importable (developer machines, the CI
   ``lint-semantic`` job installs it), ``repro lint --types`` runs it in
-  strict mode over the typed-core packages and compares the result
-  against a checked-in baseline.
-
-The baseline (:data:`BASELINE_RELPATH`) is a ratchet, not an allowlist
-of lines: each entry is a mypy diagnostic normalized to
-``path|error-code|message`` — deliberately *without* the line number,
-so unrelated edits that shift code do not churn the file.  The gate
-fails when the current run produces a diagnostic (counted with
-multiplicity) that the baseline does not contain; it never fails for
-*fixing* errors, and ``--update-type-baseline`` rewrites the file to
-the current (smaller or annotated-as-accepted) state.
+  strict mode over the typed-core packages and fails on any
+  diagnostic.  Accepted debt is suppressed at the site with mypy's own
+  ``# type: ignore[code]``, where a reviewer sees it.
 """
 
 from __future__ import annotations
@@ -26,18 +18,13 @@ import importlib.util
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 __all__ = [
-    "BASELINE_RELPATH",
     "TypeGateResult",
     "mypy_available",
     "run_type_gate",
 ]
-
-#: Checked-in baseline, relative to the project root.
-BASELINE_RELPATH = Path("src/repro/devtools/mypy_baseline.txt")
 
 #: Directories handed to mypy, relative to the project root.
 TYPED_ROOTS = ("src/repro/sim", "src/repro/exec")
@@ -56,13 +43,11 @@ class TypeGateResult:
         self,
         ok: bool,
         messages: list[str],
-        new: list[str] | None = None,
-        fixed: list[str] | None = None,
+        diagnostics: list[str] | None = None,
     ) -> None:
         self.ok = ok
         self.messages = messages
-        self.new = new or []
-        self.fixed = fixed or []
+        self.diagnostics = diagnostics or []
 
 
 def mypy_available() -> bool:
@@ -71,38 +56,13 @@ def mypy_available() -> bool:
 
 
 def _normalize(line: str) -> str | None:
-    """One raw mypy output line -> baseline key, or None for non-errors."""
+    """One raw mypy output line -> ``path|code|message``, or None."""
     m = _DIAG_RE.match(line.strip())
     if m is None:
         return None
     path = m.group("path").replace("\\", "/")
     code = m.group("code") or "misc"
     return f"{path}|{code}|{m.group('message')}"
-
-
-def _read_baseline(path: Path) -> Counter[str]:
-    if not path.is_file():
-        return Counter()
-    entries = [
-        line.strip()
-        for line in path.read_text().splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
-    return Counter(entries)
-
-
-def _write_baseline(path: Path, current: Counter[str]) -> None:
-    lines = [
-        "# mypy baseline ratchet for repro lint --types.",
-        "# One normalized diagnostic per line: path|error-code|message",
-        "# (line numbers omitted so edits elsewhere do not churn this",
-        "# file).  Regenerate with: repro lint --types "
-        "--update-type-baseline",
-    ]
-    for key in sorted(current.elements()):
-        lines.append(key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _run_mypy(root: Path) -> tuple[list[str], str]:
@@ -124,9 +84,8 @@ def _run_mypy(root: Path) -> tuple[list[str], str]:
     return keys, raw
 
 
-def run_type_gate(root: Path, update_baseline: bool = False) -> TypeGateResult:
-    """Run the mypy ratchet from ``root``; skip cleanly without mypy."""
-    baseline_path = root / BASELINE_RELPATH
+def run_type_gate(root: Path) -> TypeGateResult:
+    """Run strict-mode mypy from ``root``; skip cleanly without mypy."""
     if not mypy_available():
         return TypeGateResult(
             ok=True,
@@ -136,46 +95,16 @@ def run_type_gate(root: Path, update_baseline: bool = False) -> TypeGateResult:
                 "checks still ran).  Install mypy to run the full gate."
             ],
         )
-    keys, raw = _run_mypy(root)
-    current = Counter(keys)
-    baseline = _read_baseline(baseline_path)
-    new = sorted((current - baseline).elements())
-    fixed = sorted((baseline - current).elements())
-
-    if update_baseline:
-        _write_baseline(baseline_path, current)
-        return TypeGateResult(
-            ok=True,
-            messages=[
-                f"type gate: baseline updated with {sum(current.values())} "
-                f"diagnostic(s) ({len(new)} new, {len(fixed)} removed)."
-            ],
-            new=new,
-            fixed=fixed,
-        )
-
-    messages = []
-    if new:
-        messages.append(
-            f"type gate: {len(new)} new mypy diagnostic(s) not in the "
-            f"baseline ({baseline_path.as_posix()}):"
-        )
-        messages.extend(f"  {key}" for key in new)
-        messages.append(
-            "fix the diagnostics, or (for accepted debt) rerun with "
-            "--update-type-baseline."
-        )
-    if fixed:
-        messages.append(
-            f"type gate: {len(fixed)} baseline diagnostic(s) no longer "
-            "occur — rerun with --update-type-baseline to ratchet down."
-        )
-    if not new and not fixed:
-        messages.append(
-            f"type gate: clean ({sum(current.values())} diagnostic(s), "
-            "all in baseline)."
-        )
-    if new and raw.strip():
+    diagnostics, raw = _run_mypy(root)
+    if not diagnostics:
+        return TypeGateResult(ok=True, messages=["type gate: clean."])
+    messages = [f"type gate: {len(diagnostics)} mypy diagnostic(s):"]
+    messages.extend(f"  {key}" for key in diagnostics)
+    messages.append(
+        "fix them, or suppress accepted debt at the site with "
+        "`# type: ignore[code]`."
+    )
+    if raw.strip():
         messages.append("raw mypy output:")
         messages.extend(f"  {line}" for line in raw.strip().splitlines())
-    return TypeGateResult(ok=not new, messages=messages, new=new, fixed=fixed)
+    return TypeGateResult(ok=False, messages=messages, diagnostics=diagnostics)

@@ -4,24 +4,19 @@ The paper's arithmetic lives in a handful of physical dimensions — sim
 cycles, DRAM lines, bytes, instructions, host wall-clock time — and the
 headline quantities are ratios of them: IPC (inst/cycle), attained
 bandwidth as a *fraction of peak* (dimensionless), CMR (dimensionless),
-EB = BW/CMR.  A single mixed-unit expression (cycles added to wall
-seconds, a fraction-of-peak compared against absolute lines-per-cycle)
-silently corrupts fidelity in a way no golden fixture pinpoints.
+EB = BW/CMR.
 
 These aliases are ``typing.Annotated`` wrappers: at runtime they are
 *exactly* ``float``/``int`` (zero cost — every annotated module also has
 ``from __future__ import annotations``, so the annotations are never
-even evaluated), but the static checker in
-:mod:`repro.devtools.semantic.units` recognizes them by name and
-propagates them flow-sensitively through the tree.  Rules R012
-(unit-confusion) and R013 (clock-domain separation) consume the result;
-see ``docs/devtools.md`` for the annotation guide.
+even evaluated).  They document the unit of each quantity for the
+reader; nothing checks them.  What keeps the unit arithmetic right is
+the golden fixtures and the per-window conservation identity
+``bw * cycles * peak == dram_lines`` (``tests/test_engine.py``).
 
-Compound units are derived, not declared: ``Lines / Cycles`` is
+Compound units are written as the ratio they are: ``Lines / Cycles`` is
 lines-per-cycle, ``Lines * BytesPerLine`` is bytes, ``Insts / Cycles``
-is IPC.  Add a new base dimension here *and* in the checker's
-``_BASE_DIMS`` table; add compound aliases freely (they are recognized
-by their dimension formula).
+is IPC.
 """
 
 from __future__ import annotations
@@ -60,14 +55,11 @@ WholeCycles = Annotated[int, "unit:cycle"]
 WallSeconds = Annotated[float, "unit:wall"]
 
 #: Host wall-clock time in microseconds (the tracer's native scale).
-#: Scale is *not* tracked — the checker treats seconds and microseconds
-#: as the same wall dimension; the distinction documents intent.
 WallMicroseconds = Annotated[float, "unit:wall"]
 
 #: A trace event timestamp whose clock is named by ``Event.clock`` —
-#: wall microseconds *or* sim cycles depending on the event.  Its own
-#: dimension: mixing raw ticks with either clock is flagged until the
-#: event's clock has been inspected.
+#: wall microseconds *or* sim cycles depending on the event, so raw
+#: ticks mean nothing until the event's clock has been inspected.
 TraceTicks = Annotated[float, "unit:tick"]
 
 # --- counts ------------------------------------------------------------------
@@ -88,10 +80,9 @@ Count = Annotated[int, "unit:1"]
 Fraction = Annotated[float, "unit:1"]
 
 #: Attained DRAM bandwidth normalized to the theoretical peak
-#: (Table III of the paper) — dimensionless, but *tagged*: deriving it
-#: requires dividing by the peak, and comparing it against an absolute
-#: rate (lines/cycle) is exactly the R012 confusion this alias exists
-#: to catch.  EB (= BW/CMR) carries the same tag.
+#: (Table III of the paper) — dimensionless, but deriving it requires
+#: dividing by the peak, so it is never comparable with an absolute rate
+#: (lines/cycle).  EB (= BW/CMR) carries the same tag.
 FractionOfPeak = Annotated[float, "unit:frac-of-peak"]
 
 # --- compound rates ----------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Each rule gets a known-bad and a known-clean fixture (written into a
 temp project tree so linting this test file never sees them), plus the
-two repo-level gates: the real tree lints clean, and mutating a
-``SimResult`` field without bumping ``CACHE_FORMAT`` trips R003.
+repo-level gates: the real tree lints clean, mutating a ``SimResult``
+field without bumping ``CACHE_FORMAT`` trips R003, and one seeded edit
+to a shipped module trips each of R002, R004-R007 and R011's AST half
+at the seeded line.
 """
 
 from __future__ import annotations
@@ -46,11 +48,11 @@ def rules_of(findings: list[Finding]) -> set[str]:
 
 
 class TestFramework:
-    def test_registry_has_all_thirteen_rules(self):
+    def test_registry_has_all_eleven_rules(self):
         ids = [r.id for r in all_rules()]
         assert ids == [
             "R002", "R003", "R004", "R005", "R006", "R007",
-            "R010", "R011", "R012", "R013", "R014", "R015", "R016",
+            "R010", "R011", "R014", "R015", "R016",
         ]
 
     def test_select_unknown_rule_raises(self):
@@ -577,35 +579,81 @@ class TestRealTreeMutations:
 
     STATS = "src/repro/sim/stats.py"
     REPORTS = "scripts/make_reports.py"
+    BANDWIDTH = "src/repro/metrics/bandwidth.py"
+    RUNNER = "src/repro/core/runner.py"
+    DRAM = "src/repro/sim/dram.py"
+    ENGINE = "src/repro/sim/engine.py"
+
+    def _trips(self, tmp_path, relpath, needle, seeded, rule):
+        """Replace the one ``needle`` line of ``relpath`` with ``seeded``
+        and assert ``rule`` fires exactly there."""
+        source = (REPO_ROOT / relpath).read_text()
+        assert source.count(needle) == 1, f"{relpath} changed: update the mutation seed"
+        mutated = source.replace(needle, seeded, 1)
+        findings = lint_tree(tmp_path, {relpath: mutated}, select=[rule])
+        expected_line = mutated.splitlines().index(seeded.splitlines()[-1]) + 1
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            (rule, relpath, expected_line)
+        ]
+        return findings[0]
 
     def test_shipped_modules_are_clean(self, tmp_path):
-        for relpath, rule in ((self.STATS, "R004"), (self.REPORTS, "R006")):
+        for relpath, rule in (
+            (self.STATS, "R004"), (self.REPORTS, "R006"),
+            (self.BANDWIDTH, "R002"), (self.RUNNER, "R005"),
+            (self.DRAM, "R007"), (self.ENGINE, "R011"),
+        ):
             source = (REPO_ROOT / relpath).read_text()
             assert lint_tree(tmp_path, {relpath: source}, select=[rule]) == [], relpath
 
     def test_r004_sim_importing_experiments_trips(self, tmp_path):
-        source = (REPO_ROOT / self.STATS).read_text()
         needle = "from dataclasses import dataclass, fields\n"
-        assert needle in source, "stats.py changed: update the mutation seed"
-        seeded = "import repro.experiments.common"
-        mutated = source.replace(needle, needle + seeded + "\n", 1)
-        findings = lint_tree(tmp_path, {self.STATS: mutated}, select=["R004"])
-        expected_line = mutated.splitlines().index(seeded) + 1
-        assert [(f.rule, f.path, f.line) for f in findings] == [
-            ("R004", self.STATS, expected_line)
-        ]
+        self._trips(tmp_path, self.STATS, needle,
+                    needle + "import repro.experiments.common\n", "R004")
 
     def test_r006_script_write_text_under_results_trips(self, tmp_path):
-        source = (REPO_ROOT / self.REPORTS).read_text()
-        needle = '        atomic_write_text(OUT / f"{name}.txt", text + "\\n")'
-        assert needle in source, "make_reports.py changed: update the mutation seed"
-        seeded = '        (OUT / f"{name}.txt").write_text(text + "\\n")'
-        mutated = source.replace(needle, seeded, 1)
-        findings = lint_tree(tmp_path, {self.REPORTS: mutated}, select=["R006"])
+        self._trips(
+            tmp_path, self.REPORTS,
+            '        atomic_write_text(OUT / f"{name}.txt", text + "\\n")',
+            '        (OUT / f"{name}.txt").write_text(text + "\\n")',
+            "R006",
+        )
+
+    def test_r002_float_equality_in_bandwidth_trips(self, tmp_path):
+        self._trips(tmp_path, self.BANDWIDTH, "    if cmr <= EPS:",
+                    "    if cmr == 0.0:", "R002")
+
+    def test_r005_lambda_worker_in_runner_trips(self, tmp_path):
+        # The first of runner.py's run_jobs calls; the seed keeps the
+        # second one intact so exactly one finding is expected.
+        source = (REPO_ROOT / self.RUNNER).read_text()
+        call = "    results = run_jobs(run_sim_job, jobs, n_jobs=n_jobs, progress=progress)"
+        head, _, tail = source.partition(call)
+        assert tail, "runner.py changed: update the mutation seed"
+        seeded = call.replace("run_sim_job,", "lambda j: run_sim_job(j),")
+        mutated = head + seeded + tail
+        findings = lint_tree(tmp_path, {self.RUNNER: mutated}, select=["R005"])
         expected_line = mutated.splitlines().index(seeded) + 1
         assert [(f.rule, f.path, f.line) for f in findings] == [
-            ("R006", self.REPORTS, expected_line)
+            ("R005", self.RUNNER, expected_line)
         ]
+
+    def test_r007_print_in_dram_trips(self, tmp_path):
+        needle = "        self.queue.append(request)\n"
+        finding = self._trips(
+            tmp_path, self.DRAM, needle,
+            needle + '        print("enqueue", request.line_addr)\n', "R007",
+        )
+        assert finding.severity is Severity.WARNING
+
+    def test_r011_dropped_return_annotation_in_engine_trips(self, tmp_path):
+        finding = self._trips(
+            tmp_path, self.ENGINE,
+            "    def set_tlp(self, app_id: int, tlp: int) -> None:",
+            "    def set_tlp(self, app_id: int, tlp: int):",
+            "R011",
+        )
+        assert "set_tlp() in a typed-core package has no return" in finding.message
 
 
 # --- the CLI and the repo-level gate ------------------------------------------
